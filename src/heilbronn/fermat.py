@@ -16,7 +16,7 @@ import numpy as np
 
 from .modarith import InvalidInput, PrimeContext, build_context, odd_primes_upto, pow_mod
 from .spectra import (EXTENDED_PRECISION_BITS, MAX_PRECISION_BITS,
-                      PrecisionError, Spectrum, spectrum)
+                      PrecisionError, Spectrum, spectrum, subgroup_pth_powers)
 
 # Rounding residuals beyond this trigger a precision escalation; 0.5 is the
 # hard validity limit, 0.25 leaves a factor-2 margin.
@@ -61,16 +61,17 @@ def fermat_F_spectral(ctx: PrimeContext, s: Spectrum,
                       a: int, b: int, c: int) -> FermatResult:
     """F(p;a,b,c) = 1 - 2/p + (1/p^2) * sum_l H(a g^l) H(b g^l) H(c g^l).
 
-    Coefficients are reduced to spectrum shifts through the dlog table, so
-    no new cosines are evaluated.  The pre-rounding value must land within
-    RESIDUAL_LIMIT of an integer; otherwise the spectrum is recomputed at
-    higher precision.
+    Coefficients are reduced to spectrum shifts through their superclass
+    indices, so no new cosines are evaluated.  The pre-rounding value must
+    land within RESIDUAL_LIMIT of an integer; otherwise the spectrum is
+    recomputed at higher precision.
     """
     _check_coprime(ctx, a, b, c)
     p = ctx.p
     i, j, k = (ctx.class_index(x) for x in (a, b, c))
     while True:
-        triple = float((s.shifted(i) * s.shifted(j) * s.shifted(k)).sum())
+        # Shift invariance: sum_l H(i+l) H(j+l) H(k+l) = sum_m H(m) H(m+j-i) H(m+k-i).
+        triple = float((s.values * s.shifted(j - i) * s.shifted(k - i)).sum())
         f_tilde = 1.0 - 2.0 / p + triple / (p * p)
         F = round(f_tilde)
         residual = abs(f_tilde - F)
@@ -120,16 +121,20 @@ def fermat_count_full_naive(ctx: PrimeContext, a: int, b: int, c: int) -> int:
 
 def class_of_array(ctx: PrimeContext) -> np.ndarray:
     """0-based class labels per residue: j-1 for X_j (units), p for X_{p+1}
-    (nonzero multiples of p), p+1 for X_{p+2} = {0}."""
+    (nonzero multiples of p), p+1 for X_{p+2} = {0}.
+
+    The units are scattered coset by coset, X_j = g^j A; the int64 products
+    g^j * a < p^4 bound p below 55,109.
+    """
     p, p2 = ctx.p, ctx.modulus
+    if p ** 4 > np.iinfo(np.int64).max:
+        raise InvalidInput(f"p = {p} overflows the int64 products in class_of_array")
+    A = np.array(subgroup_pth_powers(ctx), dtype=np.int64)
+    gj = np.array([pow(ctx.g, j, p2) for j in range(1, p + 1)], dtype=np.int64)
     cls = np.empty(p2, dtype=np.int64)
-    for u in range(p2):
-        if u == 0:
-            cls[u] = p + 1
-        elif u % p == 0:
-            cls[u] = p
-        else:
-            cls[u] = (ctx.dlog[u] - 1) % p
+    cls[gj[:, None] * A[None, :] % p2] = np.arange(p)[:, None]
+    cls[p::p] = p
+    cls[0] = p + 1
     return cls
 
 
@@ -152,7 +157,10 @@ def structure_block_enumerated(ctx: PrimeContext, i: int) -> np.ndarray:
         # counts per class k still carry the p-1 representatives of X_k
         for k in range(p + 1):
             size = p - 1
-            assert row[k] % size == 0
+            if row[k] % size != 0:
+                raise RuntimeError(
+                    f"class count {row[k]} for (i,j,k) = ({i},{j},{k + 1}) "
+                    f"is not a multiple of |X_k| = {size}")
             row[k] //= size
     return out
 

@@ -1,12 +1,15 @@
 """Exact modular arithmetic mod p and p**2: modexp, primitive roots,
-discrete logs, and the truncated logarithm with its level sets."""
+discrete logs from O(p) state (a log table mod p and the Fermat quotient),
+and the truncated logarithm with its level sets."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-# Dense dlog tables get large quadratically; keep p at desk scale.
+# Caps p for trial division and for the O(p) context and spectrum.  It does
+# not bound operations whose output has p**2 entries or more (partitions,
+# the tensor, class_of_array).
 MAX_PRIME = 1 << 20
 
 
@@ -49,12 +52,10 @@ def _check_odd_prime(p: int) -> None:
         raise InvalidInput(f"p = {p} exceeds supported cap {MAX_PRIME}")
 
 
-def _is_primitive_root_mod_p(g: int, p: int) -> bool:
+def _is_primitive_root_mod_p(g: int, p: int, factors: list[int]) -> bool:
+    """factors lists the distinct primes dividing p - 1."""
     order = p - 1
-    for q in _prime_factors(order):
-        if pow_mod(g, order // q, p) == 1:
-            return False
-    return True
+    return all(pow_mod(g, order // q, p) != 1 for q in factors)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -82,9 +83,13 @@ def primitive_roots_mod_p2(p: int, count: int = 1) -> list[int]:
     """
     _check_odd_prime(p)
     p2 = p * p
+    factors = _prime_factors(p - 1)
     roots: list[int] = []
-    base_roots = [h for h in range(2, p) if _is_primitive_root_mod_p(h, p)]
-    for h in base_roots:
+    base_roots: list[int] = []
+    for h in range(2, p):
+        if not _is_primitive_root_mod_p(h, p, factors):
+            continue
+        base_roots.append(h)
         g = h if pow_mod(h, p - 1, p2) != 1 else h + p
         roots.append(g)
         if len(roots) == count:
@@ -105,47 +110,72 @@ def primitive_root_mod_p2(p: int) -> int:
     return primitive_roots_mod_p2(p, 1)[0]
 
 
+def fermat_quotient(u: int, p: int) -> int:
+    """q(u) = (u**(p-1) - 1)/p mod p for a unit u mod p**2.
+
+    q(uv) = q(u) + q(v) mod p, and q vanishes exactly on the p-th powers, so
+    q(g**e) = e*q(g) mod p.
+    """
+    return (pow(u, p - 1, p * p) - 1) // p % p
+
+
 @dataclass(frozen=True)
 class PrimeContext:
-    """A prime p with modulus p**2, a fixed primitive root g, and a dense
-    discrete-log table for the units mod p**2.
+    """A prime p with modulus p**2 and a fixed primitive root g, holding
+    O(p) state for discrete logs.
 
-    dlog[u] is the exponent in {1, ..., p(p-1)} with g**dlog[u] == u for
-    units u; 0 marks non-units.  Immutable after construction.
+    The discrete log e of a unit u (g**e == u mod p**2) is fixed by its two
+    CRT residues: e mod p-1 is the log of u mod p, read from log_mod_p, and
+    e mod p is q(u) * q(g)**-1 with q the Fermat quotient.  log_mod_p[r] is
+    the exponent in {0, ..., p-2} with g**e == r mod p (index 0 unused).
+    Immutable after construction.
     """
 
     p: int
     modulus: int
     g: int
-    dlog: list[int] = field(repr=False)
+    log_mod_p: list[int] = field(repr=False)
+    inv_quotient_g: int
 
     def dlog_of(self, u: int) -> int:
-        e = self.dlog[u % self.modulus]
-        if e == 0:
-            raise InvalidInput(f"{u} is not a unit mod {self.modulus}")
-        return e
+        """The exponent e in {1, ..., p(p-1)} with g**e == u mod p**2."""
+        p = self.p
+        b = self.class_index(u)
+        a = self.log_mod_p[u % p]
+        # e == a mod p-1 and e == b mod p; (p-1)*t == -t mod p gives t.
+        e = a + (p - 1) * ((a - b) % p)
+        return e if e != 0 else p * (p - 1)
 
     def class_index(self, u: int) -> int:
         """Superclass index in 1..p of a unit u (dlog mod p, p for 0)."""
-        e = self.dlog_of(u) % self.p
-        return e if e != 0 else self.p
+        p = self.p
+        if u % p == 0:
+            raise InvalidInput(f"{u} is not a unit mod {self.modulus}")
+        e = fermat_quotient(u, p) * self.inv_quotient_g % p
+        return e if e != 0 else p
 
 
 def build_context(p: int, g: int | None = None) -> PrimeContext:
-    """PrimeContext with a complete dlog table; O(p**2) time and space."""
+    """PrimeContext for p and g (default: primitive_root_mod_p2(p)); O(p)
+    time and space.  Raises InvalidInput unless g has order p(p-1) mod p**2,
+    that is, unless g is a primitive root mod p with q(g) != 0."""
     _check_odd_prime(p)
-    p2 = p * p
     if g is None:
         g = primitive_root_mod_p2(p)
     order = p * (p - 1)
-    dlog = [0] * p2
+    log_mod_p = [0] * p
+    h = g % p
     x = 1
-    for e in range(1, order + 1):
-        x = x * g % p2
-        if dlog[x] != 0:
-            raise InvalidInput(f"g = {g} does not have order {order} mod {p2}")
-        dlog[x] = e
-    return PrimeContext(p=p, modulus=p2, g=g, dlog=dlog)
+    for e in range(1, p - 1):
+        x = x * h % p
+        if x <= 1:  # 0 when p | g, 1 when g has order e < p-1 mod p
+            raise InvalidInput(f"g = {g} does not have order {order} mod {p * p}")
+        log_mod_p[x] = e
+    q = fermat_quotient(g, p)
+    if q == 0:
+        raise InvalidInput(f"g = {g} does not have order {order} mod {p * p}")
+    return PrimeContext(p=p, modulus=p * p, g=g, log_mod_p=log_mod_p,
+                        inv_quotient_g=pow(q, -1, p))
 
 
 def _trunc_log_poly(p: int, u: int) -> int:

@@ -199,6 +199,18 @@ class TestTensorLaws:
         assert all(cls[5 * m] == 5 for m in range(1, 5))
         assert cls[ctx.g % 25] == 0
 
+    @pytest.mark.parametrize("p", [3, 13, 31])
+    def test_class_of_array_matches_class_index(self, p):
+        ctx = build_context(p)
+        cls = class_of_array(ctx)
+        assert all(cls[u] == ctx.class_index(u) - 1
+                   for u in range(1, p * p) if u % p)
+
+    def test_class_of_array_rejects_int64_overflow(self):
+        # 55109 is the least prime with p**4 > 2**63 - 1
+        with pytest.raises(InvalidInput):
+            class_of_array(build_context(55109))
+
 
 class TestMoments:
     def test_third_moment_p7(self, ctx7, s7):

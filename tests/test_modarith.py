@@ -84,7 +84,9 @@ class TestBuildContext:
 
     def test_table_size(self):
         ctx = build_context(5)
-        assert sum(1 for e in ctx.dlog if e) == 20
+        assert len({ctx.dlog_of(u) for u in range(25) if u % 5}) == 20
+        with pytest.raises(InvalidInput):
+            ctx.dlog_of(10)
 
     def test_dlog_is_bijective_inverse(self):
         ctx = build_context(11)
@@ -100,6 +102,30 @@ class TestBuildContext:
     def test_rejects_non_prime(self):
         with pytest.raises(InvalidInput):
             build_context(15)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_matches_brute_force_walk(self, p, which):
+        g = primitive_roots_mod_p2(p, 2)[which]
+        ctx = build_context(p, g=g)
+        p2, x = p * p, 1
+        seen = set()
+        for e in range(1, p * (p - 1) + 1):
+            x = x * g % p2
+            assert ctx.dlog_of(x) == e
+            assert ctx.class_index(x) == (e % p or p)
+            seen.add(x)
+        assert len(seen) == p * (p - 1)
+
+    @pytest.mark.parametrize("p,g", [
+        (29, 14),  # primitive root mod 29, but 14**28 == 1 mod 29**2
+        (13, 3),   # order 3 mod 13
+        (7, 14),   # divisible by p
+        (7, 0),
+    ])
+    def test_rejects_g_without_full_order(self, p, g):
+        with pytest.raises(InvalidInput):
+            build_context(p, g=g)
 
 
 class TestPthPowerCriterion:

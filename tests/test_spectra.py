@@ -71,6 +71,13 @@ class TestHeilbronnSum:
         assert err106 < 1e-25
         assert abs(v53 - v106) < 1e-12
 
+    def test_unpaired_sines_raise(self, monkeypatch):
+        # an explicit check, kept under python -O
+        import heilbronn.spectra as spectra_mod
+        monkeypatch.setattr(spectra_mod, "_pth_powers", lambda ctx: [1] * (ctx.p - 1))
+        with pytest.raises(RuntimeError, match="pair off"):
+            heilbronn_sum(build_context(13), 5)
+
     def test_err_cap_enforced(self):
         ctx = build_context(13)
         with pytest.raises(PrecisionError):
@@ -90,6 +97,18 @@ class TestSpectrum:
         for l in range(1, 4):
             a = pow_mod(ctx.g, l, 9)
             assert s.value_at(l) == pytest.approx(direct_sum(3, a).real, abs=1e-10)
+
+    @pytest.mark.parametrize("p", odd_primes_upto(101) + [46349])
+    def test_fft_matches_direct_cosine_sum(self, p):
+        # Both sides round a sum of p-1 unit-modulus terms in float64.
+        tol = 4 * p * math.log2(p) * np.finfo(np.float64).eps
+        ctx = build_context(p)
+        s = spectrum(ctx)
+        # every exponent for small p; 8 of them at p = 46349, where p^2 > 2^31
+        ls = range(1, p + 1) if p <= 101 else (1, 2, 3, 1000, 23174, p - 2, p - 1, p)
+        for l in ls:
+            direct, _ = heilbronn_sum(ctx, pow_mod(ctx.g, l, ctx.modulus))
+            assert abs(s.value_at(l) - direct) <= tol
 
     def test_sum_vanishes(self):
         s = spectrum(build_context(31))
