@@ -1,5 +1,7 @@
 """Wall-clock comparison of the counting strategies: naive exhaustion vs
-the spectral route, with log-log slope fits and crossover detection."""
+the spectral route (the Theta(p) formula per F; for all triples, the
+third-moment FFT correlation plus cyclic shifts), with log-log slope fits
+and crossover detection."""
 
 from __future__ import annotations
 
@@ -133,8 +135,10 @@ def _tensor_spectral_all(ctx) -> np.ndarray:
 
 
 def bench_all_triples(p_list: list[int], reps: int = MIN_REPS) -> BenchReport:
-    """Time all c(i,j,k) at once: Theta(p^4) exhaustion vs one classical
-    matrix product plus cyclic shifts.  Tensors must agree exactly first."""
+    """Time all c(i,j,k) at once: Theta(p^4) exhaustion vs the spectral
+    block from the third-moment identity (one real-FFT correlation per row,
+    O(p^2 log p) time and O(p^2) memory) plus the p cyclic shifts that
+    stack every block.  Tensors must agree exactly first."""
     _validate(p_list, reps, naive_cap=61)
     samples = []
     for p in sorted(p_list):

@@ -1,13 +1,14 @@
 """Fermat-congruence counting mod p^2: the spectral formula for
-F(p;a,b,c), brute-force oracles, the all-triples structure tensor via
-matrix products, moment identities, and diagonal-coefficient bounds."""
+F(p;a,b,c), brute-force oracles, the all-triples structure tensor from the
+third-moment identity (one zero-padded real-FFT correlation per row,
+O(p^2 log p) time and O(p^2) memory), moment identities, and
+diagonal-coefficient bounds."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -16,11 +17,18 @@ import numpy as np
 
 from .modarith import InvalidInput, PrimeContext, build_context, odd_primes_upto, pow_mod
 from .spectra import (EXTENDED_PRECISION_BITS, MAX_PRECISION_BITS,
-                      PrecisionError, Spectrum, spectrum, subgroup_pth_powers)
+                      PrecisionError, Spectrum, bordered_unitary, spectrum,
+                      subgroup_pth_powers)
 
 # Rounding residuals beyond this trigger a precision escalation; 0.5 is the
 # hard validity limit, 0.25 leaves a factor-2 margin.
 RESIDUAL_LIMIT = 0.25
+
+# Rows of the tensor block transformed per batch of FFTs, which bounds the
+# temporaries to a few (64, 2^ceil(log2(2p-1))) arrays.  Transforming all
+# p//2 + 1 rows at once raised a process's peak RSS at p = 1009 from 51 to
+# 77 MB, and ran slower.
+_ROW_BLOCK = 64
 
 
 class GoldenMismatch(RuntimeError):
@@ -190,56 +198,79 @@ class StructureTensorP:
         return np.roll(self.base, (-t, -t), axis=(0, 1))
 
     def diagonal(self, i: int | None = None) -> np.ndarray:
-        """(c(i,i,1), ..., c(i,i,p)); the multiset is i-independent."""
-        i = self.p if i is None else i
-        return np.array([self.c(i, i, k) for k in range(1, self.p + 1)],
-                        dtype=np.int64)
+        """(c(i,i,1), ..., c(i,i,p)); the multiset is i-independent.
+
+        c(i,i,k) = base[p-1, (k-1-i) mod p], a cyclic shift of the last row.
+        """
+        p = self.p
+        i = p if i is None else i
+        if not 1 <= i <= p:
+            raise IndexError(f"index out of range: i = {i}")
+        return np.roll(self.base[p - 1], i)
 
 
-def bordered_unitary(s: Spectrum) -> np.ndarray:
-    """The explicit (p+2) x (p+2) unitary with Heilbronn block and
-    -1 / sqrt(p-1) borders, scaled by 1/p."""
+def _third_moment_block(s: Spectrum) -> tuple[np.ndarray, float]:
+    """The p x p block c(p,j,k) = 1 + (S_{j,k} - 2p)/p^2 rounded to int64,
+    and the largest distance of an unrounded entry from its integer.
+
+    S_{j,k} = sum_l h_l h_{l+j} h_{l+k} with h_e = H(g^e), indices mod p.
+    Row j is the circular correlation of v_j = h * h[. + j] with h, taken
+    from one real FFT of length n = 2^ceil(log2(2p-1)) against h repeated
+    twice, so no product wraps around; prime-length FFTs would be about
+    three times slower.  Only rows j <= p//2 are transformed: the rest
+    follow from S(-j, k) = S(j, k+j).
+    """
     p = s.p
-    sq = math.sqrt(p - 1)
-    U = np.empty((p + 2, p + 2))
-    for i in range(1, p + 1):
-        U[i - 1, :p] = s.shifted(i)
-    U[:p, p] = -1.0
-    U[:p, p + 1] = sq
-    U[p, :p] = -1.0
-    U[p, p] = p - 1.0
-    U[p, p + 1] = sq
-    U[p + 1, :p + 1] = sq
-    U[p + 1, p + 1] = 1.0
-    return U / p
-
-
-def _eigenvalue_diag(s: Spectrum, i: int) -> np.ndarray:
-    p = s.p
-    d = np.empty(p + 2)
-    d[:p] = s.shifted(i)
-    d[p] = -1.0
-    d[p + 1] = p - 1.0
-    return d
+    n = 1 << (2 * p - 1).bit_length()
+    h = np.roll(s.values, 1)
+    hh = np.concatenate([h, h])
+    h_hat = np.fft.rfft(hh, n)
+    windows = np.lib.stride_tricks.sliding_window_view(hh, p)  # row j: h[. + j]
+    cols = np.arange(p)
+    half = p // 2
+    out = np.empty((p, p), dtype=np.int64)  # out[j-1, k-1] = c(p, j, k)
+    residual = 0.0
+    for j0 in range(0, half + 1, _ROW_BLOCK):
+        j1 = min(j0 + _ROW_BLOCK, half + 1)
+        js = np.arange(j0, j1)
+        v_hat = np.fft.rfft(windows[j0:j1] * h, n, axis=1)
+        np.conjugate(v_hat, out=v_hat)
+        v_hat *= h_hat
+        # Lags 1..p, so column k-1 holds S_{j,k} with k = p read as 0.
+        c = np.fft.irfft(v_hat, n, axis=1)[:, 1:p + 1]
+        c -= 2 * p
+        c /= p * p
+        c += 1.0
+        rounded = np.rint(c)
+        c -= rounded
+        residual = np.maximum(residual, np.abs(c, out=c).max())  # keeps NaN
+        out[(js - 1) % p] = rounded
+        mirrored = js > 0
+        out[p - 1 - js[mirrored]] = np.take_along_axis(
+            rounded[mirrored], (cols + js[mirrored, None]) % p, axis=1)
+    return out, float(residual)
 
 
 def structure_constants_spectral_all(ctx: PrimeContext, s: Spectrum,
                                      debug: bool = False) -> StructureTensorP:
-    """All c(i,j,k) via the matrix identity T_i = U D_i U, computed for a
-    single i (shift invariance supplies the rest) with classical matrix
-    products and certified integer rounding.
+    """All c(i,j,k) from the third-moment identity
+    c(p,j,k) = 1 + (S_{j,k} - 2p)/p^2, S_{j,k} = sum_l H_l H_{l+j} H_{l+k},
+    with H_l = H(g^l); shift invariance supplies every other i.
 
-    Debug mode recomputes a second i independently and cross-checks the
-    shift-invariance reconstruction against it.
+    The p x p block takes one zero-padded real-FFT correlation per row,
+    batched in fixed blocks of rows: O(p^2 log p) time and O(p^2) memory.
+    The entries are rounded to integers; a residual of RESIDUAL_LIMIT or
+    more, or a negative entry, recomputes the spectrum at 106, then 256
+    bits, and raises PrecisionError beyond that.
+
+    Debug mode recomputes block i = 1 independently, as the bordered
+    product U D_1 U of (p+2) x (p+2) matrices, and raises RuntimeError
+    unless it matches the shift-invariance reconstruction.
     """
     p = ctx.p
     while True:
-        U = bordered_unitary(s)
-        T_p = U @ np.diag(_eigenvalue_diag(s, p)) @ U
-        block = T_p[:p, :p]  # |X_j| = |X_k| = p-1 there, so entries are c(p,j,k)
-        rounded = np.rint(block)
-        residual = float(np.abs(block - rounded).max())
-        if residual < RESIDUAL_LIMIT and rounded.min() >= 0:
+        base, residual = _third_moment_block(s)
+        if residual < RESIDUAL_LIMIT and base.min() >= 0:
             break
         if s.precision_bits >= MAX_PRECISION_BITS:
             raise PrecisionError(
@@ -248,14 +279,14 @@ def structure_constants_spectral_all(ctx: PrimeContext, s: Spectrum,
         bits = (EXTENDED_PRECISION_BITS if s.precision_bits < EXTENDED_PRECISION_BITS
                 else MAX_PRECISION_BITS)
         s = spectrum(ctx, precision_bits=bits)
-    tensor = StructureTensorP(p=p, base=rounded.astype(np.int64),
-                              origin="spectral")
+    tensor = StructureTensorP(p=p, base=base, origin="spectral")
     if debug:
-        i2 = 1 if p > 1 else p
-        T_1 = U @ np.diag(_eigenvalue_diag(s, i2)) @ U
+        U = bordered_unitary(s)
+        D_1 = np.diag(np.concatenate([s.shifted(1), [-1.0, p - 1.0]]))
+        T_1 = U @ D_1 @ U
         direct = np.rint(T_1[:p, :p]).astype(np.int64)
-        if not np.array_equal(direct, tensor.block(i2)):
-            raise AssertionError("shift-invariance reconstruction mismatch")
+        if not np.array_equal(direct, tensor.block(1)):
+            raise RuntimeError("shift-invariance reconstruction mismatch")
     return tensor
 
 
@@ -277,10 +308,10 @@ def third_moment_check(ctx: PrimeContext, s: Spectrum,
     with c(i,j,k) obtained by exhaustive enumeration."""
     p, p2 = ctx.p, ctx.modulus
     lhs = float((s.shifted(i) * s.shifted(j) * s.shifted(k)).sum())
-    cls = class_of_array(ctx)
-    gi, gj, gk = (pow_mod(ctx.g, t, p2) for t in (i, j, k))
-    c = sum(1 for a in range(1, p)
-            if cls[(gk - pow_mod(a, p, p2) * gi) % p2] == j - 1)
+    gi, gk = pow_mod(ctx.g, i, p2), pow_mod(ctx.g, k, p2)
+    # Residues divisible by p lie outside X_1..X_p.
+    diffs = ((gk - pow_mod(a, p, p2) * gi) % p2 for a in range(1, p))
+    c = sum(1 for v in diffs if v % p and ctx.class_index(v) == j)
     rhs = p * p * (c - 1) + 2 * p
     return MomentCheck(lhs=lhs, rhs=float(rhs), tolerance=tolerance)
 

@@ -218,7 +218,7 @@ def log_level_sets(p: int) -> TruncatedLogTable:
     max_size = max(len(s) for s in level_sets.values())
     bound = 44.0 * p ** (2.0 / 3.0)
     if max_size > bound:
-        raise AssertionError(
+        raise RuntimeError(
             f"level-set bound violated at p={p}: {max_size} > {bound:.3f}"
         )
     return TruncatedLogTable(p=p, values=values, level_sets=level_sets,

@@ -107,7 +107,11 @@ def supercharacter_value(partition: SuperclassPartition, i: int, j: int,
     reps = partition.classes[j - 1] if debug else partition.classes[j - 1][:1]
     vals = [np.exp(2j * np.pi * ((xs * y) % n) / n).sum() for y in reps]
     if debug:
-        assert max(abs(v - vals[0]) for v in vals) < 1e-9 * len(xs)
+        spread = max(abs(v - vals[0]) for v in vals)
+        if not spread < 1e-9 * len(xs):
+            raise RuntimeError(
+                f"sigma_{i} differs by {spread:.3g} across the elements of "
+                f"X_{j}; the classes are not orbits")
     return complex(vals[0])
 
 
@@ -163,8 +167,9 @@ def structure_constants_enumerated(partition: SuperclassPartition,
                    if class_of[(z - x) % n] == j)
 
     c = count(reps[0])
-    if debug and len(reps) > 1:
-        assert count(reps[1]) == c, "structure constant depends on representative"
+    if debug and len(reps) > 1 and count(reps[1]) != c:
+        raise RuntimeError(
+            f"c({i},{j},{k}) depends on the representative of X_{k}")
     return c
 
 

@@ -206,38 +206,52 @@ class HeilbronnTable:
     U: np.ndarray
 
 
+def _hankel_block(s: Spectrum) -> np.ndarray:
+    """The p x p matrix [H_p(g^(i+j))]_{i,j = 1..p}, cyclic in i + j."""
+    p = s.p
+    idx = np.arange(p)
+    return s.values[(idx[:, None] + idx[None, :] + 1) % p]
+
+
+def bordered_unitary(s: Spectrum) -> np.ndarray:
+    """The explicit (p+2) x (p+2) unitary with Heilbronn block and
+    -1 / sqrt(p-1) borders, scaled by 1/p."""
+    p = s.p
+    sq = math.sqrt(p - 1)
+    U = np.empty((p + 2, p + 2))
+    U[:p, :p] = _hankel_block(s)
+    U[:p, p] = -1.0
+    U[:p, p + 1] = sq
+    U[p, :p] = -1.0
+    U[p, p] = p - 1.0
+    U[p, p + 1] = sq
+    U[p + 1, :p + 1] = sq
+    U[p + 1, p + 1] = 1.0
+    return U / p
+
+
 def heilbronn_table(ctx: PrimeContext, s: Spectrum,
                     generic: SupercharacterMatrices | None = None,
                     tol: float = 1e-8) -> HeilbronnTable:
     """Assemble sigma and U from the spectrum by the known block pattern.
 
     sigma[i,j] = H_p(g^(i+j)) on the p x p block, bordered by -1, p-1 and
-    the all-ones row; U is (1/p) times the same block bordered by -1 and
-    sqrt(p-1) entries.  If `generic` is supplied it is used for the
-    cross-validation; otherwise the generic engine is run on the partition.
+    the all-ones row; U is bordered_unitary(s), (1/p) times the same block
+    bordered by -1 and sqrt(p-1) entries.  If `generic` is supplied it is
+    used for the cross-validation; otherwise the generic engine is run on
+    the partition.
     """
     p = ctx.p
     N = p + 2
-    sq = math.sqrt(p - 1)
     sigma = np.empty((N, N))
-    U = np.empty((N, N))
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            sigma[i - 1, j - 1] = s.value_at(i + j)
-            U[i - 1, j - 1] = s.value_at(i + j) / p
+    sigma[:p, :p] = _hankel_block(s)
     sigma[:p, p] = -1.0
     sigma[:p, p + 1] = p - 1.0
     sigma[p, :p] = -1.0
     sigma[p, p] = p - 1.0
     sigma[p, p + 1] = p - 1.0
     sigma[p + 1, :] = 1.0
-    U[:p, p] = -1.0 / p
-    U[:p, p + 1] = sq / p
-    U[p, :p] = -1.0 / p
-    U[p, p] = (p - 1.0) / p
-    U[p, p + 1] = sq / p
-    U[p + 1, :p + 1] = sq / p
-    U[p + 1, p + 1] = 1.0 / p
+    U = bordered_unitary(s)
 
     partition = heilbronn_partition(ctx)
     if generic is None:

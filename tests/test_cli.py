@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from heilbronn.cli import (EXIT_GOLDEN, EXIT_INVALID, EXIT_OK, main,
-                           run_verify)
+from heilbronn.cli import (EXIT_GOLDEN, EXIT_INVALID, EXIT_OK,
+                           EXIT_PRECISION, main, run_verify)
+from heilbronn.spectra import MAX_PRECISION_BITS, spectrum
 
 
 def run(capsys, *argv):
@@ -49,6 +51,20 @@ class TestFermatCommand:
         d = json.loads(out)
         assert code == EXIT_OK
         assert d[0]["F"] == 2 and d[0]["solution_count"] == 4116
+
+    def test_precision_failure_exit_code(self, capsys, monkeypatch):
+        # a 256-bit spectrum whose F residual is 0.42 has nowhere to escalate
+        import heilbronn.cli as cli_mod
+
+        def perturbed_spectrum(ctx, precision_bits):
+            s = spectrum(ctx)
+            return dataclasses.replace(s, values=s.values + 0.15,
+                                       precision_bits=MAX_PRECISION_BITS)
+
+        monkeypatch.setattr(cli_mod, "spectrum", perturbed_spectrum)
+        code, _, err = run(capsys, "fermat", "-p", "13")
+        assert code == EXIT_PRECISION
+        assert "precision failure" in err
 
     def test_divisible_coefficient(self, capsys):
         code, _, err = run(capsys, "fermat", "-p", "7", "-a", "7")

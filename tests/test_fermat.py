@@ -1,13 +1,18 @@
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+import heilbronn.fermat as fermat_mod
 from heilbronn.modarith import InvalidInput, build_context, odd_primes_upto, pow_mod
 from heilbronn.sctheory import structure_tensor_enumerated
-from heilbronn.spectra import heilbronn_partition, spectrum
-from heilbronn.fermat import (GoldenMismatch, ciik_report, class_of_array,
+from heilbronn.spectra import (EXTENDED_PRECISION_BITS, MAX_PRECISION_BITS,
+                               PrecisionError, bordered_unitary,
+                               heilbronn_partition, spectrum)
+from heilbronn.fermat import (RESIDUAL_LIMIT, GoldenMismatch, ciik_report,
+                              class_of_array,
                               fermat_count_full_naive,
                               fermat_count_naive_reduced, fermat_F_spectral,
                               fermat_table, fourth_moment_check, golden_table,
@@ -107,7 +112,47 @@ class TestTrivialSolutions:
         assert count(ctx.g, 1) == 0
 
 
+def bordered_product_block(s, i):
+    """[U D_i U]_{j,k} for 1 <= j,k <= p: the dense (p+2)^3 route."""
+    p = s.p
+    U = bordered_unitary(s)
+    d = np.concatenate([s.shifted(i), [-1.0, p - 1.0]])
+    return (U @ np.diag(d) @ U)[:p, :p]
+
+
+def perturbed(s, bits):
+    """s with every H shifted by 0.15 and tagged with `bits`: at p = 13 the
+    rounding residuals of F and of the tensor block are then 0.42."""
+    return dataclasses.replace(s, values=s.values + 0.15, precision_bits=bits)
+
+
 class TestSpectralTensor:
+    @pytest.mark.parametrize("p", odd_primes_upto(199) + [1009])
+    def test_fft_base_equals_bordered_product(self, p):
+        ctx = build_context(p)
+        s = spectrum(ctx)
+        tensor = structure_constants_spectral_all(ctx, s)
+        expected = np.rint(bordered_product_block(s, p)).astype(np.int64)
+        assert np.array_equal(tensor.base, expected)
+
+    def test_diagonal_matches_entries_p31(self):
+        ctx = build_context(31)
+        tensor = structure_constants_spectral_all(ctx, spectrum(ctx))
+        for i in range(1, 32):
+            loop = [tensor.c(i, i, k) for k in range(1, 32)]
+            assert tensor.diagonal(i).tolist() == loop
+        with pytest.raises(IndexError):
+            tensor.diagonal(0)
+
+    def test_debug_mismatch_raises_runtime_error(self, monkeypatch):
+        # kept under python -O: a corrupted U makes the U D_1 U block disagree
+        ctx = build_context(13)
+        s = spectrum(ctx)
+        monkeypatch.setattr(fermat_mod, "bordered_unitary",
+                            lambda sp: bordered_unitary(sp)[::-1])
+        with pytest.raises(RuntimeError, match="mismatch"):
+            structure_constants_spectral_all(ctx, s, debug=True)
+
     def test_p3_matches_enumeration_all_triples(self):
         ctx = build_context(3)
         tensor = structure_constants_spectral_all(ctx, spectrum(ctx), debug=True)
@@ -212,7 +257,59 @@ class TestTensorLaws:
             class_of_array(build_context(55109))
 
 
+class TestPrecisionLadder:
+    @pytest.fixture
+    def escalations(self, monkeypatch):
+        """Record the precision of every spectrum the ladder recomputes."""
+        bits_seen = []
+
+        def recording_spectrum(ctx, precision_bits):
+            bits_seen.append(precision_bits)
+            return spectrum(ctx, precision_bits=precision_bits)
+
+        monkeypatch.setattr(fermat_mod, "spectrum", recording_spectrum)
+        return bits_seen
+
+    def test_tensor_escalates_from_53_bits(self, escalations):
+        ctx = build_context(13)
+        s = spectrum(ctx)
+        bad = perturbed(s, 53)
+        block = bordered_product_block(bad, 13)
+        assert np.abs(block - np.rint(block)).max() > RESIDUAL_LIMIT
+        tensor = structure_constants_spectral_all(ctx, bad)
+        assert escalations == [EXTENDED_PRECISION_BITS]
+        expected = np.rint(bordered_product_block(s, 13)).astype(np.int64)
+        assert np.array_equal(tensor.base, expected)
+
+    def test_F_escalates_from_53_bits(self, escalations):
+        ctx = build_context(13)
+        bad = perturbed(spectrum(ctx), 53)
+        f_tilde = 1 - 2 / 13 + float((bad.values ** 3).sum()) / 13 ** 2
+        assert abs(f_tilde - round(f_tilde)) > RESIDUAL_LIMIT
+        r = fermat_F_spectral(ctx, bad, 1, 1, 1)
+        assert escalations == [EXTENDED_PRECISION_BITS]
+        assert r.F == fermat_count_naive_reduced(ctx, 1, 1, 1) // 12
+        assert r.residual < RESIDUAL_LIMIT
+
+    def test_max_precision_raises(self, escalations):
+        ctx = build_context(13)
+        bad = perturbed(spectrum(ctx), MAX_PRECISION_BITS)
+        with pytest.raises(PrecisionError):
+            structure_constants_spectral_all(ctx, bad)
+        with pytest.raises(PrecisionError):
+            fermat_F_spectral(ctx, bad, 1, 1, 1)
+        assert escalations == []
+
+
 class TestMoments:
+    def test_third_moment_needs_no_residue_table(self, monkeypatch):
+        def no_table(ctx):
+            raise AssertionError("class_of_array called")
+
+        monkeypatch.setattr(fermat_mod, "class_of_array", no_table)
+        ctx = build_context(31)
+        assert third_moment_check(ctx, spectrum(ctx), 31, 5, 17).passed
+
     def test_third_moment_p7(self, ctx7, s7):
         chk = third_moment_check(ctx7, s7, 7, 7, 7)
         assert chk.passed

@@ -189,3 +189,10 @@ class TestLevelSets:
     def test_bound_p101(self):
         table = log_level_sets(101)
         assert table.max_level_size <= 44 * 101 ** (2 / 3)
+
+    def test_bound_violation_raises_runtime_error(self, monkeypatch):
+        # with L_p constant, one level set holds p-1 > 44 p^(2/3) points
+        import heilbronn.modarith as modarith_mod
+        monkeypatch.setattr(modarith_mod, "_trunc_log_poly", lambda p, u: 0)
+        with pytest.raises(RuntimeError, match="level-set bound"):
+            log_level_sets(100003)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from heilbronn.modarith import InvalidInput, build_context
-from heilbronn.sctheory import (UnitAction, build_T, build_U, ramanujan_sum,
+from heilbronn.sctheory import (SuperclassPartition, UnitAction, build_T,
+                                build_U, ramanujan_sum,
                                 structure_constants_enumerated,
                                 structure_tensor_enumerated, superclasses,
                                 supercharacter_value)
@@ -106,6 +107,33 @@ class TestBuildU:
                     xs = np.array(part.classes[i - 1])
                     v = np.exp(2j * np.pi * ((xs * y) % 10) / 10).sum()
                     assert abs(v - ref) < 1e-10
+
+
+def corrupted_partition():
+    """Z/9 with 1 and 2 lumped into one 'class': not an orbit partition."""
+    classes = ((1, 2), (3, 6), (4, 5), (7, 8), (0,))
+    class_of = [0] * 9
+    for idx, orbit in enumerate(classes, start=1):
+        for y in orbit:
+            class_of[y] = idx
+    return SuperclassPartition(n=9, classes=classes, class_of=class_of)
+
+
+class TestDebugChecks:
+    """The debug checks raise RuntimeError, so python -O keeps them."""
+
+    def test_supercharacter_value_on_corrupted_classes(self):
+        part = corrupted_partition()
+        supercharacter_value(part, 1, 1)
+        with pytest.raises(RuntimeError, match="not orbits"):
+            supercharacter_value(part, 1, 1, debug=True)
+
+    def test_structure_constant_on_corrupted_classes(self):
+        # x + y == z with x, y in {1, 2}: two pairs for z = 3, none for z = 6
+        part = corrupted_partition()
+        assert structure_constants_enumerated(part, 1, 1, 2) == 2
+        with pytest.raises(RuntimeError, match="representative"):
+            structure_constants_enumerated(part, 1, 1, 2, debug=True)
 
 
 class TestStructureConstants:

@@ -8,10 +8,12 @@ import pytest
 
 from heilbronn.modarith import (build_context, odd_primes_upto, pow_mod,
                                 primitive_roots_mod_p2)
+from heilbronn.fermat import bordered_unitary as fermat_bordered_unitary
 from heilbronn.sctheory import build_U
-from heilbronn.spectra import (PrecisionError, heilbronn_partition,
-                               heilbronn_sum, heilbronn_table, spectrum,
-                               subgroup_pth_powers, verify_spectrum_identities)
+from heilbronn.spectra import (PrecisionError, bordered_unitary,
+                               heilbronn_partition, heilbronn_sum,
+                               heilbronn_table, spectrum, subgroup_pth_powers,
+                               verify_spectrum_identities)
 
 
 def direct_sum(p, a):
@@ -183,7 +185,38 @@ class TestSubgroup:
             assert part.classes[p - 1] == tuple(subgroup_pth_powers(ctx))
 
 
+def elementwise_U(s):
+    """The bordered U entry by entry, as a Python double loop."""
+    p = s.p
+    sq = math.sqrt(p - 1)
+    U = np.empty((p + 2, p + 2))
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            U[i - 1, j - 1] = s.value_at(i + j) / p
+    U[:p, p] = -1.0 / p
+    U[:p, p + 1] = sq / p
+    U[p, :p] = -1.0 / p
+    U[p, p] = (p - 1.0) / p
+    U[p, p + 1] = sq / p
+    U[p + 1, :p + 1] = sq / p
+    U[p + 1, p + 1] = 1.0 / p
+    return U
+
+
 class TestHeilbronnTable:
+    @pytest.mark.parametrize("p", [3, 13, 101])
+    def test_one_bordered_U(self, p):
+        ctx = build_context(p)
+        s = spectrum(ctx)
+        U = elementwise_U(s)
+        assert np.array_equal(bordered_unitary(s), U)
+        table = heilbronn_table(ctx, s)
+        assert np.array_equal(table.U, U)
+        sigma_block = [[s.value_at(i + j) for j in range(1, p + 1)]
+                       for i in range(1, p + 1)]
+        assert np.array_equal(table.sigma[:p, :p], np.array(sigma_block))
+        assert fermat_bordered_unitary is bordered_unitary
+
     def test_unitary_p11(self):
         ctx = build_context(11)
         table = heilbronn_table(ctx, spectrum(ctx))
