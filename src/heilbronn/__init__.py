@@ -19,7 +19,8 @@ from .fermat import (FermatResult, GoldenMismatch, StructureTensorP,
                      fermat_table, fourth_moment_check, golden_table,
                      quartic_power_check, structure_block_enumerated,
                      structure_constants_spectral_all, third_moment_check)
-from .bench import BenchReport, bench_all_triples, bench_single_F
+from .bench import (BenchReport, MethodDisagreement, bench_all_triples,
+                    bench_single_F)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -12,13 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modarith import InvalidInput, build_context, is_odd_prime
+from .modarith import InvalidInput, build_context, check_odd_prime
 from .fermat import (fermat_F_spectral, fermat_count_naive_reduced,
                      structure_block_enumerated,
                      structure_constants_spectral_all)
 from .spectra import spectrum
 
 MIN_REPS = 3
+
+
+class MethodDisagreement(RuntimeError):
+    """The naive and spectral routes gave different results."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,7 @@ def _validate(p_list: list[int], reps: int, naive_cap: int) -> None:
     if not p_list:
         raise InvalidInput("empty prime list")
     for p in p_list:
-        if not is_odd_prime(p):
-            raise InvalidInput(f"{p} is not an odd prime")
+        check_odd_prime(p)
         if p > naive_cap:
             raise InvalidInput(f"naive path capped at p <= {naive_cap}")
 
@@ -109,8 +112,8 @@ def bench_single_F(p_list: list[int], reps: int = MIN_REPS) -> BenchReport:
         F = fermat_F_spectral(ctx, s, 1, 1, 1).F
         count = fermat_count_naive_reduced(ctx, 1, 1, 1)
         if count != (p - 1) * F:
-            raise AssertionError(f"method disagreement at p={p}: "
-                                 f"naive {count}, spectral {(p - 1) * F}")
+            raise MethodDisagreement(f"method disagreement at p={p}: "
+                                     f"naive {count}, spectral {(p - 1) * F}")
         t_naive = _time_min(lambda: fermat_count_naive_reduced(ctx, 1, 1, 1),
                             reps)
 
@@ -144,7 +147,7 @@ def bench_all_triples(p_list: list[int], reps: int = MIN_REPS) -> BenchReport:
     for p in sorted(p_list):
         ctx = build_context(p)
         if not np.array_equal(_tensor_naive_all(ctx), _tensor_spectral_all(ctx)):
-            raise AssertionError(f"tensor disagreement at p={p}")
+            raise MethodDisagreement(f"tensor disagreement at p={p}")
         t_naive = _time_min(lambda: _tensor_naive_all(ctx), reps)
         t_spec = _time_min(lambda: _tensor_spectral_all(ctx), reps)
         samples.append(BenchSample(p, "naive", t_naive, reps))

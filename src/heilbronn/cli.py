@@ -15,7 +15,7 @@ from .fermat import (GoldenMismatch, ciik_report, fermat_count_naive_reduced,
                      fermat_F_spectral, fermat_table, quartic_power_check,
                      structure_block_enumerated,
                      structure_constants_spectral_all, third_moment_check)
-from .modarith import (InvalidInput, build_context, is_odd_prime,
+from .modarith import (InvalidInput, build_context, check_odd_prime,
                        log_level_sets, odd_primes_upto, pow_mod,
                        primitive_roots_mod_p2, truncated_log)
 from .spectra import (DEFAULT_PRECISION_BITS, PrecisionError, heilbronn_table,
@@ -45,13 +45,7 @@ def _precision(args) -> int:
     return int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_BITS))
 
 
-def _require_odd_prime(p: int) -> None:
-    if not is_odd_prime(p):
-        raise InvalidInput(f"{p} is not an odd prime")
-
-
 def cmd_spectrum(args) -> int:
-    _require_odd_prime(args.p)
     ctx = build_context(args.p)
     s = spectrum(ctx, precision_bits=_precision(args))
     if args.format == "csv":
@@ -68,7 +62,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_fermat(args) -> int:
-    _require_odd_prime(args.p)
     ctx = build_context(args.p)
     results = []
     if args.method in ("spectral", "both"):
@@ -185,7 +178,7 @@ def run_verify(p: int, depth: str = "quick") -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
-    _require_odd_prime(args.p)
+    check_odd_prime(args.p)
     depth = "full" if args.full else "quick"
     if depth == "full" and args.p > 199:
         raise InvalidInput("--full verification is capped at p <= 199")
@@ -296,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except GoldenMismatch as exc:
         print(f"golden mismatch: {exc}", file=sys.stderr)
         return EXIT_GOLDEN
+    except bench_mod.MethodDisagreement as exc:
+        print(f"disagreement: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
 
 
 if __name__ == "__main__":

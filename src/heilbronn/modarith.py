@@ -45,7 +45,8 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-def _check_odd_prime(p: int) -> None:
+def check_odd_prime(p: int) -> None:
+    """Raise InvalidInput unless p is an odd prime no larger than MAX_PRIME."""
     if not is_odd_prime(p):
         raise InvalidInput(f"{p} is not an odd prime")
     if p > MAX_PRIME:
@@ -81,7 +82,7 @@ def primitive_roots_mod_p2(p: int, count: int = 1) -> list[int]:
     further lifts h + k*p are used: among the p lifts of a primitive root
     mod p, every one except a single exception has full order mod p**2.
     """
-    _check_odd_prime(p)
+    check_odd_prime(p)
     p2 = p * p
     factors = _prime_factors(p - 1)
     roots: list[int] = []
@@ -159,7 +160,7 @@ def build_context(p: int, g: int | None = None) -> PrimeContext:
     """PrimeContext for p and g (default: primitive_root_mod_p2(p)); O(p)
     time and space.  Raises InvalidInput unless g has order p(p-1) mod p**2,
     that is, unless g is a primitive root mod p with q(g) != 0."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if g is None:
         g = primitive_root_mod_p2(p)
     order = p * (p - 1)
@@ -181,17 +182,20 @@ def build_context(p: int, g: int | None = None) -> PrimeContext:
 def _trunc_log_poly(p: int, u: int) -> int:
     # Horner evaluation of u + u^2/2 + ... + u^(p-1)/(p-1) mod p:
     # L(u) = u*(inv(1) + u*(inv(2) + u*(... + u*inv(p-1))))
+    # with the inverses from inv(k) = -(p // k) * inv(p mod k) mod p.
     u %= p
+    inv = [0, 1] + [0] * (p - 2)
+    for k in range(2, p):
+        inv[k] = -(p // k) * inv[p % k] % p
     acc = 0
     for k in range(p - 1, 0, -1):
-        inv_k = pow_mod(k, p - 2, p)
-        acc = (acc * u + inv_k) % p
+        acc = (acc * u + inv[k]) % p
     return acc * u % p
 
 
 def truncated_log(p: int, u: int) -> int:
     """L_p(u) = u + u^2/2 + ... + u^(p-1)/(p-1) mod p, for p not dividing u."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if u % p == 0:
         raise InvalidInput(f"p = {p} divides u = {u}")
     return _trunc_log_poly(p, u)
@@ -209,7 +213,7 @@ class TruncatedLogTable:
 
 def log_level_sets(p: int) -> TruncatedLogTable:
     """Tabulate L_p and its level sets N_r = {2 <= x <= p : L_p(x) == r}."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     values = {u: _trunc_log_poly(p, u) for u in range(1, p)}
     level_sets: dict[int, list[int]] = {}
     for x in range(2, p + 1):

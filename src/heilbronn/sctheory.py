@@ -128,13 +128,23 @@ class SupercharacterMatrices:
 
 
 def build_U(partition: SuperclassPartition) -> SupercharacterMatrices:
-    """U[i,j] = sigma_i(X_j) * sqrt(|X_j|) / (sqrt(n) * sqrt(|X_i|))."""
+    """U[i,j] = sigma_i(X_j) * sqrt(|X_j|) / (sqrt(n) * sqrt(|X_i|)).
+
+    Column j of sigma sums the phases e(x*r_j/n), r_j the representative of
+    X_j, over each class of x: one gather from a length-n phase table of
+    exact residues x*r_j mod n, then one bincount each for the real and the
+    imaginary part.  O(N*n) time and O(n) extra memory per column.
+    """
     N = partition.num_classes
     n = partition.n
+    phase = np.exp(2j * np.pi * np.arange(n) / n)
+    labels = np.asarray(partition.class_of, dtype=np.intp) - 1
+    x = np.arange(n, dtype=np.int64)
     sigma = np.empty((N, N), dtype=complex)
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            sigma[i - 1, j - 1] = supercharacter_value(partition, i, j)
+    for j in range(N):
+        w = phase[x * partition.classes[j][0] % n]
+        sigma.real[:, j] = np.bincount(labels, weights=w.real, minlength=N)
+        sigma.imag[:, j] = np.bincount(labels, weights=w.imag, minlength=N)
     sizes = np.array([partition.size(i) for i in range(1, N + 1)], dtype=float)
     U = sigma * np.sqrt(sizes)[None, :] / (np.sqrt(n) * np.sqrt(sizes)[:, None])
     return SupercharacterMatrices(partition=partition, sigma=sigma, U=U)
@@ -193,8 +203,3 @@ def build_T(partition: SuperclassPartition, tensor: StructureTensor,
     sizes = np.array([partition.size(m) for m in range(1, N + 1)], dtype=float)
     return tensor.c[i - 1] * np.sqrt(sizes)[None, :] / np.sqrt(sizes)[:, None]
 
-
-def ramanujan_sum(n: int, x: int) -> complex:
-    """Classical Ramanujan sum c_n(x) by direct summation over units mod n."""
-    return sum(np.exp(2j * np.pi * j * x / n)
-               for j in range(1, n + 1) if math.gcd(j, n) == 1)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import heilbronn.bench as bench_mod
 from heilbronn.bench import bench_all_triples, bench_single_F
 from heilbronn.modarith import InvalidInput
 
@@ -62,3 +63,25 @@ class TestAllTriples:
         assert set(report.fitted_slopes) == {"naive", "spectral"}
         # naive exhaustion grows much faster than the matrix route
         assert report.fitted_slopes["naive"] > report.fitted_slopes["spectral"]
+
+
+class TestDisagreement:
+    """A naive/spectral mismatch raises RuntimeError, which python -O keeps."""
+
+    def test_single_F(self, monkeypatch):
+        monkeypatch.setattr(bench_mod, "fermat_count_naive_reduced",
+                            lambda ctx, a, b, c: -1)
+        with pytest.raises(RuntimeError, match="method disagreement at p=7"):
+            bench_single_F([7], reps=3)
+
+    def test_all_triples(self, monkeypatch):
+        real = bench_mod.structure_block_enumerated
+
+        def off_by_one(ctx, i):
+            block = real(ctx, i)
+            block[0, 0] += 1
+            return block
+
+        monkeypatch.setattr(bench_mod, "structure_block_enumerated", off_by_one)
+        with pytest.raises(RuntimeError, match="tensor disagreement at p=7"):
+            bench_all_triples([7], reps=3)

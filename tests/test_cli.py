@@ -3,10 +3,11 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
-from heilbronn.cli import (EXIT_GOLDEN, EXIT_INVALID, EXIT_OK,
-                           EXIT_PRECISION, main, run_verify)
+from heilbronn.cli import (EXIT_DISAGREEMENT, EXIT_GOLDEN, EXIT_INVALID,
+                           EXIT_OK, EXIT_PRECISION, main, run_verify)
 from heilbronn.spectra import MAX_PRECISION_BITS, spectrum
 
 
@@ -28,6 +29,16 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "-p", "4")
         assert code == EXIT_INVALID
         assert "prime" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "fermat", "verify"])
+    def test_one_validator_with_cap(self, capsys, command):
+        # 2^20 + 7 is prime and above MAX_PRIME
+        code, _, err = run(capsys, command, "-p", "1048583")
+        assert code == EXIT_INVALID
+        assert "exceeds supported cap" in err
+        code, _, err = run(capsys, command, "-p", "15")
+        assert code == EXIT_INVALID
+        assert "15 is not an odd prime" in err
 
     def test_p3_value_matches_direct_sum(self, capsys):
         code, out, _ = run(capsys, "spectrum", "-p", "3", "--json")
@@ -148,6 +159,20 @@ class TestBenchCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == EXIT_OK
         assert {r["method"] for r in rows} == {"naive", "spectral"}
+
+    @pytest.mark.parametrize("task,target,wrong", [
+        ("single-F", "fermat_count_naive_reduced", -1),
+        ("all-triples", "structure_block_enumerated", np.full((7, 9), -1)),
+    ])
+    def test_disagreement_exit_code(self, capsys, monkeypatch,
+                                    task, target, wrong):
+        import heilbronn.bench as bench_mod
+        monkeypatch.setattr(bench_mod, target, lambda *args: wrong)
+        code, out, err = run(capsys, "bench", "--task", task,
+                             "--pmin", "7", "--pmax", "7")
+        assert code == EXIT_DISAGREEMENT
+        assert "disagreement at p=7" in err
+        assert out == ""
 
     def test_all_triples_gate(self, capsys):
         code, out, _ = run(capsys, "bench", "--task", "all-triples",

@@ -56,6 +56,26 @@ class TestSpectralF:
         assert d["method"] == "spectral"
         assert d["solution_count"] == 7 ** 3 * 6 * d["F"]
 
+    def test_residual_bitwise_equal_to_roll_formula(self):
+        # the residual is pinned bit for bit to the np.roll formula, so a
+        # rewrite of the inner product must multiply and sum the same
+        # elements in the same order
+        p = 2003
+        ctx = build_context(p)
+        s = spectrum(ctx)
+        v = s.values
+        rng = np.random.default_rng(2003)
+        units = [u for u in rng.integers(1, p * p, size=256) if u % p][:192]
+        assert len(units) == 192
+        for a, b, c in zip(units[0::3], units[1::3], units[2::3]):
+            i, j, k = (ctx.class_index(int(x)) for x in (a, b, c))
+            triple = float((v * np.roll(v, -(j - i) % p)
+                            * np.roll(v, -(k - i) % p)).sum())
+            f_tilde = 1.0 - 2.0 / p + triple / (p * p)
+            r = fermat_F_spectral(ctx, s, int(a), int(b), int(c))
+            assert r.F == round(f_tilde)
+            assert r.residual == abs(f_tilde - round(f_tilde))
+
 
 class TestNaiveCounts:
     def test_p3_reduced(self):

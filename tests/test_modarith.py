@@ -176,6 +176,27 @@ class TestTruncatedLog:
             assert lhs == rhs
 
 
+class TestTruncatedLogClosedForm:
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 199])
+    def test_matches_binomial_closed_form(self, p):
+        # L_p(u) = ((1 - (1-u)^p - u^p) mod p^2) / p, an exact division
+        from heilbronn.modarith import _trunc_log_poly
+        p2 = p * p
+        for u in range(1, p):
+            t = (1 - pow(1 - u, p, p2) - pow(u, p, p2)) % p2
+            assert t % p == 0
+            assert _trunc_log_poly(p, u) == t // p
+
+    def test_no_modular_exponentiation(self, monkeypatch):
+        import heilbronn.modarith as modarith_mod
+
+        def forbidden(*args):
+            raise RuntimeError("pow_mod called")
+
+        monkeypatch.setattr(modarith_mod, "pow_mod", forbidden)
+        assert modarith_mod._trunc_log_poly(5, 1) == 0
+
+
 class TestLevelSets:
     def test_partition_p5(self):
         table = log_level_sets(5)

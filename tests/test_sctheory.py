@@ -5,7 +5,7 @@ import pytest
 
 from heilbronn.modarith import InvalidInput, build_context
 from heilbronn.sctheory import (SuperclassPartition, UnitAction, build_T,
-                                build_U, ramanujan_sum,
+                                build_U,
                                 structure_constants_enumerated,
                                 structure_tensor_enumerated, superclasses,
                                 supercharacter_value)
@@ -14,6 +14,24 @@ from heilbronn.spectra import heilbronn_partition
 
 def heilbronn_partition_for(p):
     return heilbronn_partition(build_context(p))
+
+
+def ramanujan_sum(n, x):
+    """Classical Ramanujan sum c_n(x) by direct summation over units mod n."""
+    return sum(np.exp(2j * np.pi * j * x / n)
+               for j in range(1, n + 1) if math.gcd(j, n) == 1)
+
+
+ORACLE_PARTITIONS = {
+    "Z/9<8>": lambda: superclasses(UnitAction(9, (8,))),
+    "Z/10<3>": lambda: superclasses(UnitAction(10, (3,))),
+    "Z/45<2>": lambda: superclasses(UnitAction(45, (2,))),
+    "Z/100<3,7>": lambda: superclasses(UnitAction(100, (3, 7))),
+    "Z/12 trivial": lambda: superclasses(UnitAction(12, (1,))),
+    "heilbronn p=3": lambda: heilbronn_partition_for(3),
+    "heilbronn p=13": lambda: heilbronn_partition_for(13),
+    "heilbronn p=101": lambda: heilbronn_partition_for(101),
+}
 
 
 class TestSuperclasses:
@@ -107,6 +125,39 @@ class TestBuildU:
                     xs = np.array(part.classes[i - 1])
                     v = np.exp(2j * np.pi * ((xs * y) % 10) / 10).sum()
                     assert abs(v - ref) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PARTITIONS))
+class TestBuildUAgainstOracle:
+    """The vectorised table against the per-entry supercharacter_value."""
+
+    def test_sigma_matches_per_entry_values(self, name):
+        part = ORACLE_PARTITIONS[name]()
+        sigma = build_U(part).sigma
+        N = part.num_classes
+        assert sigma.shape == (N, N)
+        for i in range(1, N + 1):
+            tol = 1e-12 * part.size(i)
+            for j in range(1, N + 1):
+                assert abs(sigma[i - 1, j - 1]
+                           - supercharacter_value(part, i, j)) <= tol
+
+    def test_U_symmetric_and_unitary(self, name):
+        U = build_U(ORACLE_PARTITIONS[name]()).U
+        N = U.shape[0]
+        assert np.abs(U - U.T).max() < 1e-10
+        assert np.abs(U @ U.conj().T - np.eye(N)).max() < 1e-10
+
+
+def test_build_U_makes_no_per_entry_calls(monkeypatch):
+    import heilbronn.sctheory as sctheory_mod
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("supercharacter_value called")
+
+    part = heilbronn_partition_for(13)
+    monkeypatch.setattr(sctheory_mod, "supercharacter_value", forbidden)
+    build_U(part)
 
 
 def corrupted_partition():

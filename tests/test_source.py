@@ -1,0 +1,26 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import heilbronn
+
+SOURCES = sorted(Path(heilbronn.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_in_library_code(path):
+    # python -O strips assert statements, so runtime invariants raise
+    # explicit exceptions; AssertionError is reserved for the test suite
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)
+             or (isinstance(node, ast.Name) and node.id == "AssertionError")]
+    assert not found, f"{path.name}: assert or AssertionError at {found}"
+
+
+def test_sources_found():
+    assert {"modarith.py", "sctheory.py", "spectra.py", "fermat.py",
+            "bench.py", "cli.py"} <= {p.name for p in SOURCES}

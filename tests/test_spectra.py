@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from heilbronn.modarith import (build_context, odd_primes_upto, pow_mod,
-                                primitive_roots_mod_p2)
+from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto,
+                                pow_mod, primitive_roots_mod_p2)
 from heilbronn.fermat import bordered_unitary as fermat_bordered_unitary
-from heilbronn.sctheory import build_U
+from heilbronn.sctheory import UnitAction, build_U, superclasses
 from heilbronn.spectra import (PrecisionError, bordered_unitary,
                                heilbronn_partition, heilbronn_sum,
                                heilbronn_table, spectrum, subgroup_pth_powers,
@@ -241,6 +241,17 @@ class TestHeilbronnTable:
         assert np.all(table.sigma[:p, p + 1] == p - 1)
         assert np.all(table.sigma[p, :p] == -1)
         assert table.sigma[p, p] == p - 1
+
+    def test_mislabelled_partition_raises(self):
+        # X_1 and X_2 swapped: the same orbits under the wrong labels
+        ctx = build_context(7)
+        s = spectrum(ctx)
+        classes = list(heilbronn_partition(ctx).classes)
+        classes[0], classes[1] = classes[1], classes[0]
+        action = UnitAction(n=49, generators=(pow_mod(ctx.g, 7, 49),))
+        swapped = superclasses(action, ordered_classes=classes)
+        with pytest.raises(InvalidInput, match="class labeling"):
+            heilbronn_table(ctx, s, generic=build_U(swapped))
 
     def test_matches_generic_engine(self):
         # the pattern assembly cross-validates inside heilbronn_table;
