@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import bench as bench_mod
-from .fermat import (GoldenMismatch, ciik_report, fermat_count_naive_reduced,
-                     fermat_F_spectral, fermat_table, quartic_power_check,
+from .fermat import (ciik_report, fermat_count_naive_reduced, fermat_F_spectral,
+                     fermat_table, quartic_power_check,
                      structure_block_enumerated,
                      structure_constants_spectral_all, third_moment_check)
 from .modarith import (InvalidInput, build_context, check_odd_prime,
@@ -28,8 +27,6 @@ EXIT_PRECISION = 3
 EXIT_DISAGREEMENT = 4
 EXIT_GOLDEN = 5
 
-PRECISION_ENV = "HEILBRONN_PRECISION_BITS"
-
 
 def _emit(text: str, path: str | None) -> None:
     if path:
@@ -39,15 +36,9 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _precision(args) -> int:
-    if args.precision is not None:
-        return args.precision
-    return int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_BITS))
-
-
 def cmd_spectrum(args) -> int:
     ctx = build_context(args.p)
-    s = spectrum(ctx, precision_bits=_precision(args))
+    s = spectrum(ctx, precision_bits=args.precision)
     if args.format == "csv":
         _emit(s.to_csv(), args.output)
     elif args.format == "json":
@@ -65,7 +56,7 @@ def cmd_fermat(args) -> int:
     ctx = build_context(args.p)
     results = []
     if args.method in ("spectral", "both"):
-        s = spectrum(ctx, precision_bits=_precision(args))
+        s = spectrum(ctx, precision_bits=args.precision)
         results.append(fermat_F_spectral(ctx, s, args.a, args.b, args.c))
     if args.method in ("naive", "both"):
         count = fermat_count_naive_reduced(ctx, args.a, args.b, args.c)
@@ -236,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectrum", help="the vector (H_p(g^1),...,H_p(g^p))")
     sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=None)
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
     _add_format_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -247,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("-c", type=int, default=1)
     fe.add_argument("--method", choices=["naive", "spectral", "both"],
                     default="spectral")
-    fe.add_argument("--precision", type=int, default=None)
+    fe.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
     _add_format_flags(fe)
     fe.set_defaults(func=cmd_fermat)
 
@@ -286,9 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except GoldenMismatch as exc:
-        print(f"golden mismatch: {exc}", file=sys.stderr)
-        return EXIT_GOLDEN
     except bench_mod.MethodDisagreement as exc:
         print(f"disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -17,8 +17,8 @@ import numpy as np
 
 from .modarith import InvalidInput, PrimeContext, build_context, odd_primes_upto, pow_mod
 from .spectra import (EXTENDED_PRECISION_BITS, MAX_PRECISION_BITS,
-                      PrecisionError, Spectrum, bordered_unitary, spectrum,
-                      subgroup_pth_powers)
+                      PrecisionError, Spectrum, bordered_unitary,
+                      heilbronn_partition, spectrum)
 
 # Rounding residuals beyond this trigger a precision escalation; 0.5 is the
 # hard validity limit, 0.25 leaves a factor-2 margin.
@@ -127,41 +127,23 @@ def fermat_count_full_naive(ctx: PrimeContext, a: int, b: int, c: int) -> int:
     return sum(pair_counts.get(c * xp[z] % p2, 0) for z in units)
 
 
-def class_of_array(ctx: PrimeContext) -> np.ndarray:
-    """0-based class labels per residue: j-1 for X_j (units), p for X_{p+1}
-    (nonzero multiples of p), p+1 for X_{p+2} = {0}.
-
-    The units are scattered coset by coset, X_j = g^j A; the int64 products
-    g^j * a < p^4 bound p below 55,109.
-    """
-    p, p2 = ctx.p, ctx.modulus
-    if p ** 4 > np.iinfo(np.int64).max:
-        raise InvalidInput(f"p = {p} overflows the int64 products in class_of_array")
-    A = np.array(subgroup_pth_powers(ctx), dtype=np.int64)
-    gj = np.array([pow(ctx.g, j, p2) for j in range(1, p + 1)], dtype=np.int64)
-    cls = np.empty(p2, dtype=np.int64)
-    cls[gj[:, None] * A[None, :] % p2] = np.arange(p)[:, None]
-    cls[p::p] = p
-    cls[0] = p + 1
-    return cls
-
-
 def structure_block_enumerated(ctx: PrimeContext, i: int) -> np.ndarray:
-    """c(i,j,k) for fixed i, all 1 <= j <= p and 1 <= k <= p+2, by exhaustive
-    enumeration of (x, y) in {1..p-1}^2 per j.  Exact integers, Theta(p^3)."""
+    """c(i,j,k) for fixed i >= 0 (read mod p), all 1 <= j <= p and
+    1 <= k <= p+2, by exhaustive enumeration of (x, y) in X_i x X_j per j,
+    with the classes and labels of heilbronn_partition.  Exact integers,
+    Theta(p^3)."""
+    if i < 0:
+        raise InvalidInput(f"class index must be nonnegative, got {i}")
     p, p2 = ctx.p, ctx.modulus
-    cls = class_of_array(ctx)
-    xp = [pow_mod(x, p, p2) for x in range(1, p)]
-    gi = pow_mod(ctx.g, i, p2)
+    part = heilbronn_partition(ctx)
+    cls = part.class_of
+    lhs = part.classes[(i - 1) % p]
     out = np.zeros((p, p + 2), dtype=np.int64)
     for j in range(1, p + 1):
-        gj = pow_mod(ctx.g, j, p2)
         row = out[j - 1]
-        lhs = [x * gi % p2 for x in xp]
-        rhs = [y * gj % p2 for y in xp]
         for u in lhs:
-            for v in rhs:
-                row[cls[(u + v) % p2]] += 1
+            for v in part.classes[j - 1]:
+                row[cls[(u + v) % p2] - 1] += 1
         # counts per class k still carry the p-1 representatives of X_k
         for k in range(p + 1):
             size = p - 1

@@ -8,8 +8,8 @@ import math
 from dataclasses import dataclass, field
 
 # Caps p for trial division and for the O(p) context and spectrum.  It does
-# not bound operations whose output has p**2 entries or more (partitions,
-# the tensor, class_of_array).
+# not bound operations whose output has p**2 entries or more (the partition,
+# whose int64 cosets need p < 55,109, and the tensor).
 MAX_PRIME = 1 << 20
 
 

@@ -62,13 +62,13 @@ class SuperclassPartition:
         return self.classes[i - 1][0]
 
 
-def superclasses(action: UnitAction,
-                 ordered_classes: list[list[int]] | None = None) -> SuperclassPartition:
-    """Orbit partition of Z/nZ under multiplication by A.
+def superclasses(action: UnitAction) -> SuperclassPartition:
+    """Orbit partition of Z/nZ under multiplication by A, by closure over
+    all n residues.
 
-    Default order: increasing minimal representative, zero class last.
-    `ordered_classes` overrides the ordering (used by the Heilbronn layer
-    to follow the X_1..X_{p+2} labeling); it must be the same partition.
+    Order: increasing minimal representative, zero class last.  The
+    Heilbronn labeling X_1..X_{p+2} of the same orbits is built directly by
+    `spectra.heilbronn_partition`.
     """
     n = action.n
     subgroup = action.subgroup()
@@ -84,15 +84,6 @@ def superclasses(action: UnitAction,
             class_of[y] = idx
     classes.append((0,))
     class_of[0] = len(classes)
-
-    if ordered_classes is not None:
-        relabeled = [tuple(sorted(c)) for c in ordered_classes]
-        if sorted(relabeled) != sorted(classes):
-            raise InvalidInput("ordered_classes is not the orbit partition")
-        classes = relabeled
-        for idx, orbit in enumerate(classes, start=1):
-            for y in orbit:
-                class_of[y] = idx
     return SuperclassPartition(n=n, classes=tuple(classes), class_of=class_of)
 
 

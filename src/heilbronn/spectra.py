@@ -1,5 +1,6 @@
-"""Heilbronn sums H_p(a), the spectrum (H_p(g^1), ..., H_p(g^p)) with
-certified error bounds, the (p+2)x(p+2) supercharacter table, and the
+"""Heilbronn sums H_p(a), the spectrum (H_p(g^1), ..., H_p(g^p)) with an
+a-priori error budget (an estimate, not a rigorous bound), the superclass
+partition X_1..X_{p+2}, the (p+2)x(p+2) supercharacter table, and the
 explicit bordered unitary matrix."""
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modarith import InvalidInput, PrimeContext, fermat_quotient, pow_mod
-from .sctheory import (SuperclassPartition, SupercharacterMatrices,
-                       UnitAction, superclasses)
+from .modarith import InvalidInput, PrimeContext, fermat_quotient
+from .sctheory import SuperclassPartition, SupercharacterMatrices, build_U
 
 DEFAULT_PRECISION_BITS = 53
 EXTENDED_PRECISION_BITS = 106
@@ -22,7 +22,13 @@ MAX_PRECISION_BITS = 256
 
 
 class PrecisionError(RuntimeError):
-    """Certified error bound too large for the requested integer recovery."""
+    """The rounding residual stays too large for integer recovery at the
+    highest working precision."""
+
+
+def _check_precision(precision_bits: int) -> None:
+    if precision_bits < DEFAULT_PRECISION_BITS:
+        raise InvalidInput(f"precision_bits must be >= {DEFAULT_PRECISION_BITS}")
 
 
 def _err_bound(p: int, precision_bits: int) -> float:
@@ -48,29 +54,23 @@ def _cos_sum(residues, p2: int, precision_bits: int) -> float:
 
 
 def heilbronn_sum(ctx: PrimeContext, a: int,
-                  precision_bits: int = DEFAULT_PRECISION_BITS,
-                  err_cap: float | None = None) -> tuple[float, float]:
+                  precision_bits: int = DEFAULT_PRECISION_BITS) -> tuple[float, float]:
     """H_p(a) = sum over l = 1..p-1 of cos(2*pi*a*l^p / p^2).
 
     The residues a*l^p mod p^2 are computed exactly; only the final cosine
     is approximate.  Sines cancel structurally (l pairs with p-l), which is
     checked on the residues rather than summed numerically.  Returns the
-    value and a certified absolute error bound.
+    value and the error budget _err_bound(p, precision_bits), a worst-case
+    estimate of the cosine error, not a rigorous bound.
     """
-    if precision_bits < DEFAULT_PRECISION_BITS:
-        raise InvalidInput(f"precision_bits must be >= {DEFAULT_PRECISION_BITS}")
+    _check_precision(precision_bits)
     p, p2 = ctx.p, ctx.modulus
-    bound = _err_bound(p, precision_bits)
-    if err_cap is not None and bound > err_cap:
-        raise PrecisionError(
-            f"certified bound {bound:.3g} exceeds cap {err_cap:.3g} "
-            f"at {precision_bits} bits")
     a %= p2
     residues = [a * lp % p2 for lp in _pth_powers(ctx)]
     for l in range(1, (p + 1) // 2):
         if (residues[l - 1] + residues[p - 1 - l]) % p2 != 0:
             raise RuntimeError(f"sine terms fail to pair off at l = {l}, p = {p}")
-    return _cos_sum(residues, p2, precision_bits), bound
+    return _cos_sum(residues, p2, precision_bits), _err_bound(p, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,9 @@ def spectrum(ctx: PrimeContext,
     p characters trivial on them and evaluate their Gauss sums mod p^2;
     Iwaniec & Kowalski, Analytic Number Theory, ch. 12.)  Higher precisions
     sum each H_p(g^l) directly with mpmath, Theta(p^2) phase evaluations.
+    Raises InvalidInput below 53 bits.
     """
+    _check_precision(precision_bits)
     p, p2 = ctx.p, ctx.modulus
     if precision_bits <= DEFAULT_PRECISION_BITS:
         w = np.zeros(p, dtype=np.complex128)
@@ -183,17 +185,23 @@ def subgroup_pth_powers(ctx: PrimeContext) -> list[int]:
 
 def heilbronn_partition(ctx: PrimeContext) -> SuperclassPartition:
     """Orbits of A on Z/p^2Z with the labeling X_i = g^i A for i = 1..p,
-    X_{p+1} the nonzero multiples of p, X_{p+2} = {0}."""
+    X_{p+1} the nonzero multiples of p, X_{p+2} = {0}.
+
+    The cosets are one (p, p-1) int64 array; its products g^i * a < p^4
+    bound p below 55,109.
+    """
     p, p2 = ctx.p, ctx.modulus
-    A = subgroup_pth_powers(ctx)
-    ordered: list[list[int]] = []
-    for i in range(1, p + 1):
-        gi = pow_mod(ctx.g, i, p2)
-        ordered.append([gi * a % p2 for a in A])
-    ordered.append([p * m for m in range(1, p)])
-    ordered.append([0])
-    action = UnitAction(n=p2, generators=(pow_mod(ctx.g, p, p2),))
-    return superclasses(action, ordered_classes=ordered)
+    if p ** 4 > np.iinfo(np.int64).max:
+        raise InvalidInput(f"p = {p} overflows the int64 products of the cosets g^i A")
+    A = np.array(subgroup_pth_powers(ctx), dtype=np.int64)
+    gi = np.array([pow(ctx.g, i, p2) for i in range(1, p + 1)], dtype=np.int64)
+    cosets = np.sort(gi[:, None] * A[None, :] % p2, axis=1)
+    class_of = np.empty(p2, dtype=np.int64)
+    class_of[cosets] = np.arange(1, p + 1)[:, None]
+    class_of[p::p] = p + 1
+    class_of[0] = p + 2
+    classes = tuple(map(tuple, cosets.tolist())) + (tuple(range(p, p2, p)), (0,))
+    return SuperclassPartition(n=p2, classes=classes, class_of=class_of.tolist())
 
 
 @dataclass(frozen=True)
@@ -255,7 +263,6 @@ def heilbronn_table(ctx: PrimeContext, s: Spectrum,
 
     partition = heilbronn_partition(ctx)
     if generic is None:
-        from .sctheory import build_U
         generic = build_U(partition)
     if np.abs(generic.sigma.imag).max() > 1e-10:
         raise InvalidInput("generic sigma has nonreal entries for Heilbronn action")

@@ -48,6 +48,20 @@ class TestSpectrumCommand:
         expected = sum(math.cos(2 * math.pi * l ** 3 / 9) for l in (1, 2))
         assert d["values"][2] == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("command", ["spectrum", "fermat"])
+    def test_precision_below_53_bits_rejected(self, capsys, command):
+        code, out, err = run(capsys, command, "-p", "5", "--precision", "10")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "precision_bits must be >= 53" in err
+
+    def test_precision_ignores_environment(self, capsys, monkeypatch):
+        # --precision is the one knob; no environment variable overrides it
+        monkeypatch.setenv("HEILBRONN_PRECISION_BITS", "106")
+        code, out, _ = run(capsys, "spectrum", "-p", "13", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["precision_bits"] == 53
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         code, _, _ = run(capsys, "spectrum", "-p", "5", "--json",

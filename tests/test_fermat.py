@@ -12,7 +12,6 @@ from heilbronn.spectra import (EXTENDED_PRECISION_BITS, MAX_PRECISION_BITS,
                                PrecisionError, bordered_unitary,
                                heilbronn_partition, spectrum)
 from heilbronn.fermat import (RESIDUAL_LIMIT, GoldenMismatch, ciik_report,
-                              class_of_array,
                               fermat_count_full_naive,
                               fermat_count_naive_reduced, fermat_F_spectral,
                               fermat_table, fourth_moment_check, golden_table,
@@ -219,6 +218,21 @@ class TestSpectralTensor:
                 for k in range(1, 16):
                     assert tensor.c(i, j, k) == block[j - 1, k - 1]
 
+    def test_block_index_is_cyclic_and_nonnegative(self, monkeypatch):
+        # classes and labels come from the one partition, not from pow_mod
+        ctx = build_context(7)
+        block = structure_block_enumerated(ctx, 1)
+
+        def no_pow_mod(*args):
+            raise AssertionError("pow_mod called")
+
+        monkeypatch.setattr(fermat_mod, "pow_mod", no_pow_mod)
+        assert np.array_equal(structure_block_enumerated(ctx, 8), block)
+        assert np.array_equal(structure_block_enumerated(ctx, 0),
+                              structure_block_enumerated(ctx, 7))
+        with pytest.raises(InvalidInput):
+            structure_block_enumerated(ctx, -1)
+
 
 class TestTensorLaws:
     @pytest.mark.parametrize("p", odd_primes_upto(31))
@@ -256,25 +270,6 @@ class TestTensorLaws:
         tensor = structure_constants_spectral_all(ctx, spectrum(ctx))
         for i in range(1, p + 1):
             assert int(tensor.diagonal(i).sum()) == p - 2
-
-    def test_class_of_array_layout(self):
-        ctx = build_context(5)
-        cls = class_of_array(ctx)
-        assert cls[0] == 6  # zero class, 0-based label p+1
-        assert all(cls[5 * m] == 5 for m in range(1, 5))
-        assert cls[ctx.g % 25] == 0
-
-    @pytest.mark.parametrize("p", [3, 13, 31])
-    def test_class_of_array_matches_class_index(self, p):
-        ctx = build_context(p)
-        cls = class_of_array(ctx)
-        assert all(cls[u] == ctx.class_index(u) - 1
-                   for u in range(1, p * p) if u % p)
-
-    def test_class_of_array_rejects_int64_overflow(self):
-        # 55109 is the least prime with p**4 > 2**63 - 1
-        with pytest.raises(InvalidInput):
-            class_of_array(build_context(55109))
 
 
 class TestPrecisionLadder:
@@ -324,9 +319,9 @@ class TestPrecisionLadder:
 class TestMoments:
     def test_third_moment_needs_no_residue_table(self, monkeypatch):
         def no_table(ctx):
-            raise AssertionError("class_of_array called")
+            raise AssertionError("heilbronn_partition called")
 
-        monkeypatch.setattr(fermat_mod, "class_of_array", no_table)
+        monkeypatch.setattr(fermat_mod, "heilbronn_partition", no_table)
         ctx = build_context(31)
         assert third_moment_check(ctx, spectrum(ctx), 31, 5, 17).passed
 

@@ -9,8 +9,9 @@ import pytest
 from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto,
                                 pow_mod, primitive_roots_mod_p2)
 from heilbronn.fermat import bordered_unitary as fermat_bordered_unitary
-from heilbronn.sctheory import UnitAction, build_U, superclasses
-from heilbronn.spectra import (PrecisionError, bordered_unitary,
+from heilbronn.sctheory import (SuperclassPartition, UnitAction, build_U,
+                                superclasses)
+from heilbronn.spectra import (bordered_unitary,
                                heilbronn_partition, heilbronn_sum,
                                heilbronn_table, spectrum, subgroup_pth_powers,
                                verify_spectrum_identities)
@@ -80,11 +81,6 @@ class TestHeilbronnSum:
         with pytest.raises(RuntimeError, match="pair off"):
             heilbronn_sum(build_context(13), 5)
 
-    def test_err_cap_enforced(self):
-        ctx = build_context(13)
-        with pytest.raises(PrecisionError):
-            heilbronn_sum(ctx, 5, err_cap=1e-30)
-
     def test_trivial_bound(self):
         ctx = build_context(31)
         for a in range(0, 31 * 31, 13):
@@ -120,6 +116,15 @@ class TestSpectrum:
         s = spectrum(build_context(7), precision_bits=106)
         s53 = spectrum(build_context(7))
         assert np.abs(s.values - s53.values).max() < 1e-12
+
+    @pytest.mark.parametrize("bits", [52, 10, -3])
+    def test_rejects_precision_below_53_bits(self, bits):
+        # the same check as heilbronn_sum, not a 53-bit result relabelled
+        ctx = build_context(7)
+        with pytest.raises(InvalidInput, match="precision_bits"):
+            spectrum(ctx, precision_bits=bits)
+        with pytest.raises(InvalidInput, match="precision_bits"):
+            heilbronn_sum(ctx, 1, precision_bits=bits)
 
     def test_other_root_permutes_values(self):
         # a different primitive root reindexes the spectrum by a unit multiplier
@@ -185,6 +190,36 @@ class TestSubgroup:
             assert part.classes[p - 1] == tuple(subgroup_pth_powers(ctx))
 
 
+class TestHeilbronnPartition:
+    @pytest.mark.parametrize("p", odd_primes_upto(101))
+    def test_matches_orbit_closure(self, p):
+        for g in primitive_roots_mod_p2(p, 2):
+            ctx = build_context(p, g=g)
+            part = heilbronn_partition(ctx)
+            p2 = p * p
+            closure = superclasses(UnitAction(n=p2, generators=(pow(g, p, p2),)))
+            assert set(part.classes) == set(closure.classes)
+            assert len(part.classes) == p + 2
+            for i, cls in enumerate(part.classes, start=1):
+                assert all(part.class_of[x] == i for x in cls)
+            assert all(pow(g, i, p2) in part.classes[i - 1]
+                       for i in range(1, p + 1))
+            assert all(part.class_of[u] == ctx.class_index(u)
+                       for u in range(1, p2) if u % p)
+
+    def test_layout(self):
+        ctx = build_context(5)
+        cls = heilbronn_partition(ctx).class_of
+        assert cls[0] == 7  # X_{p+2} = {0}
+        assert all(cls[5 * m] == 6 for m in range(1, 5))
+        assert cls[ctx.g % 25] == 1
+
+    def test_rejects_int64_overflow(self):
+        # 55109 is the least prime with p**4 > 2**63 - 1
+        with pytest.raises(InvalidInput, match="int64"):
+            heilbronn_partition(build_context(55109))
+
+
 def elementwise_U(s):
     """The bordered U entry by entry, as a Python double loop."""
     p = s.p
@@ -246,10 +281,12 @@ class TestHeilbronnTable:
         # X_1 and X_2 swapped: the same orbits under the wrong labels
         ctx = build_context(7)
         s = spectrum(ctx)
-        classes = list(heilbronn_partition(ctx).classes)
+        part = heilbronn_partition(ctx)
+        classes = list(part.classes)
         classes[0], classes[1] = classes[1], classes[0]
-        action = UnitAction(n=49, generators=(pow_mod(ctx.g, 7, 49),))
-        swapped = superclasses(action, ordered_classes=classes)
+        swapped = SuperclassPartition(
+            n=49, classes=tuple(classes),
+            class_of=[{1: 2, 2: 1}.get(c, c) for c in part.class_of])
         with pytest.raises(InvalidInput, match="class labeling"):
             heilbronn_table(ctx, s, generic=build_U(swapped))
 
