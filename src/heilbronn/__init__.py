@@ -5,7 +5,7 @@ identities."""
 from .modarith import (InvalidInput, PrimeContext, TruncatedLogTable,
                        build_context, is_odd_prime, log_level_sets,
                        odd_primes_upto, pow_mod, primitive_root_mod_p2,
-                       primitive_roots_mod_p2, truncated_log)
+                       primitive_roots_mod_p2, pth_power_table, truncated_log)
 from .sctheory import (StructureTensor, SuperclassPartition, UnitAction,
                        build_T, build_U, structure_constants_enumerated,
                        structure_tensor_enumerated, superclasses,

@@ -10,13 +10,13 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .fermat import (ciik_report, fermat_count_naive_reduced, fermat_F_spectral,
-                     fermat_table, quartic_power_check,
+from .fermat import (FermatResult, ciik_report, fermat_count_naive_reduced,
+                     fermat_F_spectral, fermat_table, quartic_power_check,
                      structure_block_enumerated,
                      structure_constants_spectral_all, third_moment_check)
 from .modarith import (InvalidInput, build_context, check_odd_prime,
-                       log_level_sets, odd_primes_upto, pow_mod,
-                       primitive_roots_mod_p2, truncated_log)
+                       log_level_sets, odd_primes_upto, primitive_roots_mod_p2,
+                       pth_power_table, truncated_log)
 from .spectra import (DEFAULT_PRECISION_BITS, PrecisionError, heilbronn_table,
                       spectrum, verify_spectrum_identities)
 
@@ -60,7 +60,6 @@ def cmd_fermat(args) -> int:
         results.append(fermat_F_spectral(ctx, s, args.a, args.b, args.c))
     if args.method in ("naive", "both"):
         count = fermat_count_naive_reduced(ctx, args.a, args.b, args.c)
-        from .fermat import FermatResult
         results.append(FermatResult(p=args.p, a=args.a, b=args.b, c=args.c,
                                     F=count // (args.p - 1), residual=0.0,
                                     method="naive"))
@@ -143,8 +142,8 @@ def run_verify(p: int, depth: str = "quick") -> list[tuple[str, bool, str]]:
     sizes_ok = sum(len(v) for v in table.level_sets.values()) == p - 1
     checks.append(("truncated-log-level-sets", sizes_ok,
                    f"max |N_r| = {table.max_level_size}"))
-    lb1 = all((1 - pow_mod(1 - u, p, p * p)) % (p * p)
-              == (pow_mod(u, p, p * p) + p * truncated_log(p, u)) % (p * p)
+    T, p2 = pth_power_table(p).tolist(), p * p
+    lb1 = all((1 - T[(1 - u) % p]) % p2 == (T[u] + p * truncated_log(p, u)) % p2
               for u in range(2, p))
     checks.append(("truncated-log-binomial", lb1, "Lemma-style binomial identity"))
 

@@ -15,7 +15,8 @@ from importlib import resources
 
 import numpy as np
 
-from .modarith import InvalidInput, PrimeContext, build_context, odd_primes_upto, pow_mod
+from .modarith import (InvalidInput, PrimeContext, build_context, odd_primes_upto,
+                       pth_power_table)
 from .spectra import (EXTENDED_PRECISION_BITS, MAX_PRECISION_BITS,
                       PrecisionError, Spectrum, bordered_unitary,
                       heilbronn_partition, spectrum)
@@ -100,9 +101,10 @@ def fermat_count_naive_reduced(ctx: PrimeContext, a: int, b: int, c: int) -> int
     mod p^2; equals (p-1) * F(p;a,b,c).  Theta(p^3), oracle scale only."""
     _check_coprime(ctx, a, b, c)
     p, p2 = ctx.p, ctx.modulus
-    axp = [a * pow_mod(x, p, p2) % p2 for x in range(1, p)]
-    byp = [b * pow_mod(y, p, p2) % p2 for y in range(1, p)]
-    czp = [c * pow_mod(z, p, p2) % p2 for z in range(1, p)]
+    A = pth_power_table(p)[1:].tolist()
+    axp = [a * t % p2 for t in A]
+    byp = [b * t % p2 for t in A]
+    czp = [c * t % p2 for t in A]
     total = 0
     for u in axp:
         for v in byp:
@@ -121,10 +123,10 @@ def fermat_count_full_naive(ctx: PrimeContext, a: int, b: int, c: int) -> int:
     if p > 11:
         raise InvalidInput(f"full naive count limited to p <= 11, got {p}")
     units = [u for u in range(1, p2) if u % p != 0]
-    xp = {u: pow_mod(u, p, p2) for u in units}
-    pair_counts = Counter((a * xp[x] + b * xp[y]) % p2
+    T = pth_power_table(p).tolist()  # x^p == T[x mod p] mod p^2
+    pair_counts = Counter((a * T[x % p] + b * T[y % p]) % p2
                           for x in units for y in units)
-    return sum(pair_counts.get(c * xp[z] % p2, 0) for z in units)
+    return sum(pair_counts.get(c * T[z % p] % p2, 0) for z in units)
 
 
 def structure_block_enumerated(ctx: PrimeContext, i: int) -> np.ndarray:
@@ -290,9 +292,9 @@ def third_moment_check(ctx: PrimeContext, s: Spectrum,
     with c(i,j,k) obtained by exhaustive enumeration."""
     p, p2 = ctx.p, ctx.modulus
     lhs = float((s.shifted(i) * s.shifted(j) * s.shifted(k)).sum())
-    gi, gk = pow_mod(ctx.g, i, p2), pow_mod(ctx.g, k, p2)
+    gi, gk = pow(ctx.g, i, p2), pow(ctx.g, k, p2)
     # Residues divisible by p lie outside X_1..X_p.
-    diffs = ((gk - pow_mod(a, p, p2) * gi) % p2 for a in range(1, p))
+    diffs = ((gk - t * gi) % p2 for t in pth_power_table(p)[1:].tolist())
     c = sum(1 for v in diffs if v % p and ctx.class_index(v) == j)
     rhs = p * p * (c - 1) + 2 * p
     return MomentCheck(lhs=lhs, rhs=float(rhs), tolerance=tolerance)

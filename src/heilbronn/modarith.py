@@ -1,11 +1,13 @@
 """Exact modular arithmetic mod p and p**2: modexp, primitive roots,
 discrete logs from O(p) state (a log table mod p and the Fermat quotient),
-and the truncated logarithm with its level sets."""
+the one p-th-power table, and the truncated logarithm read from it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # Caps p for trial division and for the O(p) context and spectrum.  It does
 # not bound operations whose output has p**2 entries or more (the partition,
@@ -18,19 +20,12 @@ class InvalidInput(ValueError):
 
 
 def pow_mod(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply."""
+    """base**exponent mod modulus, checking the modulus and exponent."""
     if modulus < 2:
         raise InvalidInput(f"modulus must be >= 2, got {modulus}")
     if exponent < 0:
         raise InvalidInput("exponent must be nonnegative")
-    result = 1
-    base %= modulus
-    while exponent:
-        if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exponent >>= 1
-    return result
+    return pow(base, exponent, modulus)
 
 
 def is_odd_prime(n: int) -> bool:
@@ -51,12 +46,6 @@ def check_odd_prime(p: int) -> None:
         raise InvalidInput(f"{p} is not an odd prime")
     if p > MAX_PRIME:
         raise InvalidInput(f"p = {p} exceeds supported cap {MAX_PRIME}")
-
-
-def _is_primitive_root_mod_p(g: int, p: int, factors: list[int]) -> bool:
-    """factors lists the distinct primes dividing p - 1."""
-    order = p - 1
-    return all(pow_mod(g, order // q, p) != 1 for q in factors)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -88,8 +77,8 @@ def primitive_roots_mod_p2(p: int, count: int = 1) -> list[int]:
     roots: list[int] = []
     base_roots: list[int] = []
     for h in range(2, p):
-        if not _is_primitive_root_mod_p(h, p, factors):
-            continue
+        if any(pow_mod(h, (p - 1) // q, p) == 1 for q in factors):
+            continue  # not a primitive root mod p
         base_roots.append(h)
         g = h if pow_mod(h, p - 1, p2) != 1 else h + p
         roots.append(g)
@@ -179,10 +168,23 @@ def build_context(p: int, g: int | None = None) -> PrimeContext:
                         inv_quotient_g=pow(q, -1, p))
 
 
-def _trunc_log_poly(p: int, u: int) -> int:
-    # Horner evaluation of u + u^2/2 + ... + u^(p-1)/(p-1) mod p:
-    # L(u) = u*(inv(1) + u*(inv(2) + u*(... + u*inv(p-1))))
-    # with the inverses from inv(k) = -(p // k) * inv(p mod k) mod p.
+def pth_power_table(p: int) -> np.ndarray:
+    """The int64 array T[m] = m**p mod p**2 for 0 <= m < p: T[0] = 0 and
+    T[1:] lists the subgroup A.  It serves every residue, as
+    (m + kp)**p == m**p mod p**2."""
+    check_odd_prime(p)
+    p2 = p * p
+    return np.array([pow(m, p, p2) for m in range(p)], dtype=np.int64)
+
+
+def truncated_log(p: int, u: int) -> int:
+    """L_p(u) = u + u^2/2 + ... + u^(p-1)/(p-1) mod p, for p not dividing u.
+
+    Horner evaluation with inv(k) = -(p // k) * inv(p mod k) mod p: the
+    independent reference for the lemma that log_level_sets reads."""
+    check_odd_prime(p)
+    if u % p == 0:
+        raise InvalidInput(f"p = {p} divides u = {u}")
     u %= p
     inv = [0, 1] + [0] * (p - 2)
     for k in range(2, p):
@@ -191,14 +193,6 @@ def _trunc_log_poly(p: int, u: int) -> int:
     for k in range(p - 1, 0, -1):
         acc = (acc * u + inv[k]) % p
     return acc * u % p
-
-
-def truncated_log(p: int, u: int) -> int:
-    """L_p(u) = u + u^2/2 + ... + u^(p-1)/(p-1) mod p, for p not dividing u."""
-    check_odd_prime(p)
-    if u % p == 0:
-        raise InvalidInput(f"p = {p} divides u = {u}")
-    return _trunc_log_poly(p, u)
 
 
 @dataclass(frozen=True)
@@ -212,9 +206,14 @@ class TruncatedLogTable:
 
 
 def log_level_sets(p: int) -> TruncatedLogTable:
-    """Tabulate L_p and its level sets N_r = {2 <= x <= p : L_p(x) == r}."""
-    check_odd_prime(p)
-    values = {u: _trunc_log_poly(p, u) for u in range(1, p)}
+    """Tabulate L_p and its level sets N_r = {2 <= x <= p : L_p(x) == r}.
+
+    L_p is read from pth_power_table in O(p) by the binomial lemma
+    1 - (1-u)^p == u^p + p L_p(u) mod p^2."""
+    T = pth_power_table(p)
+    u = np.arange(1, p)
+    L = (1 - T[(1 - u) % p] - T[u]) % (p * p) // p
+    values = dict(zip(range(1, p), L.tolist()))
     level_sets: dict[int, list[int]] = {}
     for x in range(2, p + 1):
         r = values[x] if x < p else 0  # x = p reduces to 0, where L_p vanishes

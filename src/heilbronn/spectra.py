@@ -1,7 +1,8 @@
 """Heilbronn sums H_p(a), the spectrum (H_p(g^1), ..., H_p(g^p)) with an
 a-priori error budget (an estimate, not a rigorous bound), the superclass
 partition X_1..X_{p+2}, the (p+2)x(p+2) supercharacter table, and the
-explicit bordered unitary matrix."""
+explicit bordered unitary matrix.  Every p-th power l^p mod p^2 is read
+from modarith.pth_power_table."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modarith import InvalidInput, PrimeContext, fermat_quotient
+from .modarith import InvalidInput, PrimeContext, fermat_quotient, pth_power_table
 from .sctheory import SuperclassPartition, SupercharacterMatrices, build_U
 
 DEFAULT_PRECISION_BITS = 53
@@ -36,10 +37,6 @@ def _err_bound(p: int, precision_bits: int) -> float:
     # 2^-(precision_bits - ceil(4 log2 p)) after angle scaling by p^2
     # and the 2*pi*a*l^p reduction.
     return (p - 1) * 2.0 ** (-(precision_bits - math.ceil(4 * math.log2(p))))
-
-
-def _pth_powers(ctx: PrimeContext) -> list[int]:
-    return [pow(l, ctx.p, ctx.modulus) for l in range(1, ctx.p)]
 
 
 def _cos_sum(residues, p2: int, precision_bits: int) -> float:
@@ -66,7 +63,8 @@ def heilbronn_sum(ctx: PrimeContext, a: int,
     _check_precision(precision_bits)
     p, p2 = ctx.p, ctx.modulus
     a %= p2
-    residues = [a * lp % p2 for lp in _pth_powers(ctx)]
+    # Python ints: a * l^p reaches p^4, past int64 for p >= 55,109.
+    residues = [a * lp % p2 for lp in pth_power_table(p)[1:].tolist()]
     for l in range(1, (p + 1) // 2):
         if (residues[l - 1] + residues[p - 1 - l]) % p2 != 0:
             raise RuntimeError(f"sine terms fail to pair off at l = {l}, p = {p}")
@@ -128,18 +126,12 @@ def spectrum(ctx: PrimeContext,
     p, p2 = ctx.p, ctx.modulus
     if precision_bits <= DEFAULT_PRECISION_BITS:
         w = np.zeros(p, dtype=np.complex128)
-        lp = np.array(_pth_powers(ctx), dtype=np.float64)
-        w[1:] = np.exp((2j * np.pi / p2) * lp)
+        w[1:] = np.exp((2j * np.pi / p2) * pth_power_table(p)[1:])
         W = np.fft.fft(w).real
         values = W[np.arange(1, p + 1) * fermat_quotient(ctx.g, p) % p]
     else:
-        powers_of_g = []
-        x = 1
-        for _ in range(p):
-            x = x * ctx.g % p2
-            powers_of_g.append(x)
-        values = np.array([
-            heilbronn_sum(ctx, a, precision_bits)[0] for a in powers_of_g])
+        values = np.array([heilbronn_sum(ctx, pow(ctx.g, l, p2), precision_bits)[0]
+                           for l in range(1, p + 1)])
     return Spectrum(p=p, g=ctx.g, values=values,
                     err_bound=_err_bound(p, precision_bits),
                     precision_bits=precision_bits)
@@ -160,14 +152,18 @@ class SpectrumIdentityReport:
         return all(x <= t for x, t in zip(r, self.tolerances))
 
 
+def _autocorrelation(v: np.ndarray) -> np.ndarray:
+    """The circular autocorrelation, entry i = sum_m v[m] v[(m + i) mod n]."""
+    return np.fft.irfft(np.abs(np.fft.rfft(v)) ** 2, len(v))
+
+
 def verify_spectrum_identities(s: Spectrum) -> SpectrumIdentityReport:
     """Check sum H = 0, sum H^2 = p(p-1), and the shifted dot products = -p."""
     p = s.p
     v = s.values
     sum_res = abs(float(v.sum()))
     norm_res = abs(float((v * v).sum()) - p * (p - 1))
-    dot_res = max(abs(float((v * np.roll(v, -i)).sum()) + p)
-                  for i in range(1, p))
+    dot_res = float(np.abs(_autocorrelation(v)[1:] + p).max())
     # Worst-case propagation of the per-entry bound.
     e = s.err_bound
     hmax = p - 1
@@ -180,7 +176,7 @@ def verify_spectrum_identities(s: Spectrum) -> SpectrumIdentityReport:
 
 def subgroup_pth_powers(ctx: PrimeContext) -> list[int]:
     """A = {1^p, ..., (p-1)^p} mod p^2; a subgroup of order p-1."""
-    return sorted(set(_pth_powers(ctx)))
+    return sorted(pth_power_table(ctx.p)[1:].tolist())
 
 
 def heilbronn_partition(ctx: PrimeContext) -> SuperclassPartition:
@@ -193,7 +189,7 @@ def heilbronn_partition(ctx: PrimeContext) -> SuperclassPartition:
     p, p2 = ctx.p, ctx.modulus
     if p ** 4 > np.iinfo(np.int64).max:
         raise InvalidInput(f"p = {p} overflows the int64 products of the cosets g^i A")
-    A = np.array(subgroup_pth_powers(ctx), dtype=np.int64)
+    A = pth_power_table(p)[1:]
     gi = np.array([pow(ctx.g, i, p2) for i in range(1, p + 1)], dtype=np.int64)
     cosets = np.sort(gi[:, None] * A[None, :] % p2, axis=1)
     class_of = np.empty(p2, dtype=np.int64)

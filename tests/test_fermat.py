@@ -219,14 +219,14 @@ class TestSpectralTensor:
                     assert tensor.c(i, j, k) == block[j - 1, k - 1]
 
     def test_block_index_is_cyclic_and_nonnegative(self, monkeypatch):
-        # classes and labels come from the one partition, not from pow_mod
+        # classes and labels come from the one partition, not from the table
         ctx = build_context(7)
         block = structure_block_enumerated(ctx, 1)
 
-        def no_pow_mod(*args):
-            raise AssertionError("pow_mod called")
+        def no_table(*args):
+            raise AssertionError("pth_power_table called")
 
-        monkeypatch.setattr(fermat_mod, "pow_mod", no_pow_mod)
+        monkeypatch.setattr(fermat_mod, "pth_power_table", no_table)
         assert np.array_equal(structure_block_enumerated(ctx, 8), block)
         assert np.array_equal(structure_block_enumerated(ctx, 0),
                               structure_block_enumerated(ctx, 7))

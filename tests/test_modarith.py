@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from heilbronn.modarith import (InvalidInput, build_context, is_odd_prime,
                                 log_level_sets, odd_primes_upto, pow_mod,
                                 primitive_root_mod_p2, primitive_roots_mod_p2,
-                                truncated_log)
+                                pth_power_table, truncated_log)
 
 
 def slow_pow(base, exp, mod):
@@ -145,6 +146,26 @@ class TestPthPowerCriterion:
         assert len(set(values)) == p - 1
 
 
+class TestPthPowerTable:
+    @pytest.mark.parametrize("p", odd_primes_upto(199) + [2003])
+    def test_matches_builtin_pow(self, p):
+        T = pth_power_table(p)
+        assert T.dtype == np.int64
+        assert T.tolist() == [pow(m, p, p * p) for m in range(p)]
+
+    @pytest.mark.parametrize("p", odd_primes_upto(199) + [2003])
+    def test_negation_symmetry(self, p):
+        # (p - m)^p == -m^p mod p^2
+        T = pth_power_table(p)
+        m = np.arange(1, p)
+        assert not ((T[p - m] + T[m]) % (p * p)).any()
+
+    @pytest.mark.parametrize("p", [1, 2, 9, 15])
+    def test_rejects_non_odd_prime(self, p):
+        with pytest.raises(InvalidInput):
+            pth_power_table(p)
+
+
 class TestTruncatedLog:
     def test_direct_sum_p5(self):
         # 1 + 1/2 + 1/3 + 1/4 = 1 + 3 + 2 + 4 = 10 = 0 mod 5
@@ -180,12 +201,11 @@ class TestTruncatedLogClosedForm:
     @pytest.mark.parametrize("p", [3, 5, 7, 101, 199])
     def test_matches_binomial_closed_form(self, p):
         # L_p(u) = ((1 - (1-u)^p - u^p) mod p^2) / p, an exact division
-        from heilbronn.modarith import _trunc_log_poly
         p2 = p * p
         for u in range(1, p):
             t = (1 - pow(1 - u, p, p2) - pow(u, p, p2)) % p2
             assert t % p == 0
-            assert _trunc_log_poly(p, u) == t // p
+            assert truncated_log(p, u) == t // p
 
     def test_no_modular_exponentiation(self, monkeypatch):
         import heilbronn.modarith as modarith_mod
@@ -194,7 +214,7 @@ class TestTruncatedLogClosedForm:
             raise RuntimeError("pow_mod called")
 
         monkeypatch.setattr(modarith_mod, "pow_mod", forbidden)
-        assert modarith_mod._trunc_log_poly(5, 1) == 0
+        assert modarith_mod.truncated_log(5, 1) == 0
 
 
 class TestLevelSets:
@@ -211,9 +231,16 @@ class TestLevelSets:
         table = log_level_sets(101)
         assert table.max_level_size <= 44 * 101 ** (2 / 3)
 
+    @pytest.mark.parametrize("p", odd_primes_upto(399))
+    def test_lemma_values_match_horner(self, p):
+        values = log_level_sets(p).values
+        assert sorted(values) == list(range(1, p))
+        assert all(values[u] == truncated_log(p, u) for u in range(1, p))
+
     def test_bound_violation_raises_runtime_error(self, monkeypatch):
         # with L_p constant, one level set holds p-1 > 44 p^(2/3) points
         import heilbronn.modarith as modarith_mod
-        monkeypatch.setattr(modarith_mod, "_trunc_log_poly", lambda p, u: 0)
+        monkeypatch.setattr(modarith_mod, "pth_power_table",
+                            lambda p: np.zeros(p, dtype=np.int64))
         with pytest.raises(RuntimeError, match="level-set bound"):
             log_level_sets(100003)

@@ -11,7 +11,7 @@ from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto,
 from heilbronn.fermat import bordered_unitary as fermat_bordered_unitary
 from heilbronn.sctheory import (SuperclassPartition, UnitAction, build_U,
                                 superclasses)
-from heilbronn.spectra import (bordered_unitary,
+from heilbronn.spectra import (_autocorrelation, bordered_unitary,
                                heilbronn_partition, heilbronn_sum,
                                heilbronn_table, spectrum, subgroup_pth_powers,
                                verify_spectrum_identities)
@@ -77,7 +77,8 @@ class TestHeilbronnSum:
     def test_unpaired_sines_raise(self, monkeypatch):
         # an explicit check, kept under python -O
         import heilbronn.spectra as spectra_mod
-        monkeypatch.setattr(spectra_mod, "_pth_powers", lambda ctx: [1] * (ctx.p - 1))
+        monkeypatch.setattr(spectra_mod, "pth_power_table",
+                            lambda p: np.array([0] + [1] * (p - 1), dtype=np.int64))
         with pytest.raises(RuntimeError, match="pair off"):
             heilbronn_sum(build_context(13), 5)
 
@@ -111,6 +112,16 @@ class TestSpectrum:
     def test_sum_vanishes(self):
         s = spectrum(build_context(31))
         assert abs(s.values.sum()) <= 31 * s.err_bound
+
+    def test_direct_sum_past_int64_products(self):
+        # a * l^p reaches p^4 > 2^63 at p = 65537; int64 products would wrap
+        p = 65537
+        ctx = build_context(p)
+        s = spectrum(ctx)
+        tol = 4 * p * math.log2(p) * np.finfo(np.float64).eps
+        for l in (1, 32768, p):
+            direct, _ = heilbronn_sum(ctx, pow(ctx.g, l, ctx.modulus))
+            assert abs(s.value_at(l) - direct) <= tol
 
     def test_high_precision_path(self):
         s = spectrum(build_context(7), precision_bits=106)
@@ -165,6 +176,17 @@ class TestSpectrumIdentities:
     def test_p3_norm(self):
         s = spectrum(build_context(3))
         assert float((s.values ** 2).sum()) == pytest.approx(6, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [3, 13, 101])
+    def test_autocorrelation_matches_rolled_dot_products(self, p):
+        v = spectrum(build_context(p)).values
+        rng = np.random.default_rng(p)
+        for w in (v, rng.standard_normal(p)):
+            # round-off of a length-p transform pair, relative to |w|^2
+            tol = 4 * p * math.log2(p) * np.finfo(np.float64).eps * float(w @ w)
+            acf = _autocorrelation(w)
+            explicit = [float((w * np.roll(w, -i)).sum()) for i in range(p)]
+            assert np.abs(acf - explicit).max() <= tol
 
     def test_zero_shift_gives_norm_not_minus_p(self):
         s = spectrum(build_context(7))
