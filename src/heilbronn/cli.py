@@ -142,9 +142,9 @@ def run_verify(p: int, depth: str = "quick") -> list[tuple[str, bool, str]]:
     sizes_ok = sum(len(v) for v in table.level_sets.values()) == p - 1
     checks.append(("truncated-log-level-sets", sizes_ok,
                    f"max |N_r| = {table.max_level_size}"))
-    T, p2 = pth_power_table(p).tolist(), p * p
-    lb1 = all((1 - T[(1 - u) % p]) % p2 == (T[u] + p * truncated_log(p, u)) % p2
-              for u in range(2, p))
+    T, p2, u = pth_power_table(p), p * p, np.arange(2, p)
+    lb1 = np.array_equal((1 - T[(1 - u) % p]) % p2,
+                         (T[u] + p * truncated_log(p, u)) % p2)
     checks.append(("truncated-log-binomial", lb1, "Lemma-style binomial identity"))
 
     g2 = primitive_roots_mod_p2(p, 2)[-1]

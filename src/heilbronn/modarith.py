@@ -177,15 +177,16 @@ def pth_power_table(p: int) -> np.ndarray:
     return np.array([pow(m, p, p2) for m in range(p)], dtype=np.int64)
 
 
-def truncated_log(p: int, u: int) -> int:
+def truncated_log(p: int, u: int | np.ndarray) -> int | np.ndarray:
     """L_p(u) = u + u^2/2 + ... + u^(p-1)/(p-1) mod p, for p not dividing u.
 
-    Horner evaluation with inv(k) = -(p // k) * inv(p mod k) mod p: the
+    u is an int or an int64 array of units, evaluated elementwise.  Horner
+    evaluation with inv(k) = -(p // k) * inv(p mod k) mod p: the
     independent reference for the lemma that log_level_sets reads."""
     check_odd_prime(p)
-    if u % p == 0:
+    if np.any(np.asarray(u) % p == 0):
         raise InvalidInput(f"p = {p} divides u = {u}")
-    u %= p
+    u = u % p
     inv = [0, 1] + [0] * (p - 2)
     for k in range(2, p):
         inv[k] = -(p // k) * inv[p % k] % p

@@ -1,6 +1,9 @@
 """Generic supercharacter engine for unit-subgroup actions on Z/nZ:
 orbits, character values, the symmetric unitary matrix U, structure
-constants by enumeration, and the T_i matrices diagonalized by U."""
+constants by enumeration, and the T_i matrices diagonalized by U.
+
+The table uses orbit-stabilizer: a sum over the orbit X_i = r_i * A is
+|X_i|/|A| times a sum over A, so each value is a scaled Gauss period."""
 
 from __future__ import annotations
 
@@ -118,26 +121,69 @@ class SupercharacterMatrices:
         return np.diag(self.sigma[i - 1])
 
 
+def _is_unit_subgroup(A: np.ndarray, in_A: np.ndarray, n: int) -> bool:
+    """Whether the residues A (in_A their indicator mod n) form a subgroup of
+    (Z/nZ)*: each a outside the subgroup H generated so far must map A into
+    A, and H grows to <H, a>.  O(|A| log|A|), not the |A|^2 of all a * b."""
+    if np.any(np.gcd(A, n) != 1):
+        return False
+    in_H = np.zeros(n, dtype=bool)
+    in_H[1 % n] = True
+    H = np.ones(1, dtype=np.int64)
+    for a in A.tolist():
+        if in_H[a]:
+            continue
+        if not in_A[A * a % n].all():
+            return False
+        powers, x = [1], a
+        while not in_H[x]:
+            powers.append(x)
+            x = x * a % n
+        H = (np.array(powers)[:, None] * H[None, :] % n).ravel()
+        in_H[H] = True
+    return True
+
+
 def build_U(partition: SuperclassPartition) -> SupercharacterMatrices:
     """U[i,j] = sigma_i(X_j) * sqrt(|X_j|) / (sqrt(n) * sqrt(|X_i|)).
 
-    Column j of sigma sums the phases e(x*r_j/n), r_j the representative of
-    X_j, over each class of x: one gather from a length-n phase table of
-    exact residues x*r_j mod n, then one bincount each for the real and the
-    imaginary part.  O(N*n) time and O(n) extra memory per column.
+    A is the class containing 1 and r_k the first element of X_k.  If A is
+    a group of units and the classes are A-orbits, the products r_k * a,
+    a in A, hit every member of X_k exactly |A|/|X_k| times, so
+
+        sigma_i(X_j) = |X_i|/|A| * eta(r_i * r_j),
+
+    with eta(t) = sum over a in A of e(t*a/n) constant on each class.  The N
+    Gauss periods eta(r_k) are gathered from a length-n phase table of the
+    exact residues r_k * a mod n, and sigma is one N x N gather of them by
+    the label of r_i * r_j mod n: O(N*|A| + N^2) time after the O(n) table.
+    Raises InvalidInput if A is not a subgroup or the products do not cover
+    each class in that way, so a partition that is not made of A-orbits
+    fails instead of giving a wrong sigma, and if n^2 overflows the int64
+    products.
     """
     N = partition.num_classes
     n = partition.n
-    phase = np.exp(2j * np.pi * np.arange(n) / n)
+    if n * n > np.iinfo(np.int64).max:
+        raise InvalidInput(f"n = {n} overflows the int64 products r_i * r_j")
     labels = np.asarray(partition.class_of, dtype=np.intp) - 1
-    x = np.arange(n, dtype=np.int64)
-    sigma = np.empty((N, N), dtype=complex)
-    for j in range(N):
-        w = phase[x * partition.classes[j][0] % n]
-        sigma.real[:, j] = np.bincount(labels, weights=w.real, minlength=N)
-        sigma.imag[:, j] = np.bincount(labels, weights=w.imag, minlength=N)
-    sizes = np.array([partition.size(i) for i in range(1, N + 1)], dtype=float)
-    U = sigma * np.sqrt(sizes)[None, :] / (np.sqrt(n) * np.sqrt(sizes)[:, None])
+    A = np.array(partition.classes[labels[1]], dtype=np.int64)
+    reps = np.array([c[0] for c in partition.classes], dtype=np.int64)
+    sizes = np.array([len(c) for c in partition.classes])
+    if not _is_unit_subgroup(A, labels == labels[1], n):
+        raise InvalidInput("the classes are not orbits: the class of 1 is "
+                           "not a subgroup of the units")
+    products = reps[:, None] * A[None, :] % n
+    hits = np.bincount(products.ravel(), minlength=n)
+    if not (np.all(labels[products] == np.arange(N)[:, None])
+            and np.all(hits * sizes[labels] == len(A))):
+        raise InvalidInput("the classes are not orbits of the class of 1: "
+                           "some r_k * A does not cover X_k evenly")
+    phase = np.exp(2j * np.pi * np.arange(n) / n)
+    eta = phase[products].sum(axis=1)
+    sigma = (sizes / len(A))[:, None] * eta[labels[reps[:, None] * reps[None, :] % n]]
+    root = np.sqrt(sizes)
+    U = sigma * root[None, :] / (np.sqrt(n) * root[:, None])
     return SupercharacterMatrices(partition=partition, sigma=sigma, U=U)
 
 

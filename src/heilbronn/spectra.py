@@ -50,6 +50,19 @@ def _cos_sum(residues, p2: int, precision_bits: int) -> float:
         return float(mpmath.fsum(mpmath.cos(w * r) for r in residues))
 
 
+def _paired_residues(A: list[int], a: int, p: int) -> list[int]:
+    """The residues a * l^p mod p^2 from A = [1^p, ..., (p-1)^p], checked
+    to cancel in pairs l, p - l; raises RuntimeError otherwise."""
+    p2 = p * p
+    a %= p2
+    # Python ints: a * l^p reaches p^4, past int64 for p >= 55,109.
+    residues = [a * lp % p2 for lp in A]
+    for l in range(1, (p + 1) // 2):
+        if (residues[l - 1] + residues[p - 1 - l]) % p2 != 0:
+            raise RuntimeError(f"sine terms fail to pair off at l = {l}, p = {p}")
+    return residues
+
+
 def heilbronn_sum(ctx: PrimeContext, a: int,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> tuple[float, float]:
     """H_p(a) = sum over l = 1..p-1 of cos(2*pi*a*l^p / p^2).
@@ -61,14 +74,9 @@ def heilbronn_sum(ctx: PrimeContext, a: int,
     estimate of the cosine error, not a rigorous bound.
     """
     _check_precision(precision_bits)
-    p, p2 = ctx.p, ctx.modulus
-    a %= p2
-    # Python ints: a * l^p reaches p^4, past int64 for p >= 55,109.
-    residues = [a * lp % p2 for lp in pth_power_table(p)[1:].tolist()]
-    for l in range(1, (p + 1) // 2):
-        if (residues[l - 1] + residues[p - 1 - l]) % p2 != 0:
-            raise RuntimeError(f"sine terms fail to pair off at l = {l}, p = {p}")
-    return _cos_sum(residues, p2, precision_bits), _err_bound(p, precision_bits)
+    p = ctx.p
+    residues = _paired_residues(pth_power_table(p)[1:].tolist(), a, p)
+    return _cos_sum(residues, p * p, precision_bits), _err_bound(p, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,9 @@ def spectrum(ctx: PrimeContext,
         W = np.fft.fft(w).real
         values = W[np.arange(1, p + 1) * fermat_quotient(ctx.g, p) % p]
     else:
-        values = np.array([heilbronn_sum(ctx, pow(ctx.g, l, p2), precision_bits)[0]
+        A = pth_power_table(p)[1:].tolist()
+        values = np.array([_cos_sum(_paired_residues(A, pow(ctx.g, l, p2), p),
+                                    p2, precision_bits)
                            for l in range(1, p + 1)])
     return Spectrum(p=p, g=ctx.g, values=values,
                     err_bound=_err_bound(p, precision_bits),

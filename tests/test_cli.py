@@ -150,6 +150,11 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "-p", "9")
         assert code == EXIT_INVALID
 
+    def test_run_verify_p1009_passes(self):
+        # the generic table is O(N*|A| + N^2); at Theta(p^3) this took ~36 s
+        rows = run_verify(1009)
+        assert [name for name, ok, _ in rows if not ok] == []
+
     def test_run_verify_names(self):
         names = [name for name, _, _ in run_verify(7, "full")]
         assert "spectrum-identities" in names

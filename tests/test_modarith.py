@@ -178,6 +178,15 @@ class TestTruncatedLog:
         with pytest.raises(InvalidInput):
             truncated_log(7, 14)
 
+    @pytest.mark.parametrize("p", odd_primes_upto(199))
+    def test_array_matches_scalar_calls(self, p):
+        u = np.arange(1, p)
+        assert truncated_log(p, u).tolist() == [truncated_log(p, x) for x in range(1, p)]
+
+    def test_array_rejects_multiple_of_p(self):
+        with pytest.raises(InvalidInput):
+            truncated_log(7, np.array([1, 2, 14, 3]))
+
     @pytest.mark.parametrize("p", odd_primes_upto(61))
     def test_binomial_identity(self, p):
         # 1 - (1-u)^p == u^p + p L_p(u) mod p^2 for u != 0, 1

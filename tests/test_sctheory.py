@@ -31,6 +31,10 @@ ORACLE_PARTITIONS = {
     "heilbronn p=3": lambda: heilbronn_partition_for(3),
     "heilbronn p=13": lambda: heilbronn_partition_for(13),
     "heilbronn p=101": lambda: heilbronn_partition_for(101),
+    "heilbronn p=199": lambda: heilbronn_partition_for(199),
+    # non-trivial stabilizers: the orbit of 512 under <3> mod 1024 is {512}
+    "Z/1024<3>": lambda: superclasses(UnitAction(1024, (3,))),
+    "Z/2310<13,17>": lambda: superclasses(UnitAction(2310, (13, 17))),
 }
 
 
@@ -168,6 +172,69 @@ def corrupted_partition():
         for y in orbit:
             class_of[y] = idx
     return SuperclassPartition(n=9, classes=classes, class_of=class_of)
+
+
+def moved_residue_partition():
+    """heilbronn p=7 with one non-representative of X_1 moved into X_2;
+    classes and class_of agree, but X_1 and X_2 are no longer orbits."""
+    part = heilbronn_partition_for(7)
+    classes = [list(c) for c in part.classes]
+    x = classes[0].pop(1)
+    classes[1].append(x)
+    class_of = list(part.class_of)
+    class_of[x] = 2
+    return SuperclassPartition(n=part.n, classes=tuple(map(tuple, classes)),
+                               class_of=class_of)
+
+
+def merged_orbits_partition():
+    """heilbronn p=7 with X_1 and X_2 merged into one class: every product
+    r_k * a keeps its label, but half the merged class is never hit."""
+    part = heilbronn_partition_for(7)
+    classes = (part.classes[0] + part.classes[1],) + part.classes[2:]
+    class_of = [max(c - 1, 1) for c in part.class_of]
+    return SuperclassPartition(n=part.n, classes=classes, class_of=class_of)
+
+
+def split_orbit_partition():
+    """heilbronn p=7 with X_1 split into two halves: every member is still
+    hit |A|/|half| times, but r_1 * A runs into the other half."""
+    part = heilbronn_partition_for(7)
+    x1 = part.classes[0]
+    classes = (x1[:3], x1[3:]) + part.classes[1:]
+    class_of = [c + 1 for c in part.class_of]
+    for y in x1[:3]:
+        class_of[y] = 1
+    return SuperclassPartition(n=part.n, classes=classes, class_of=class_of)
+
+
+def non_group_pairs_partition():
+    """Z/13 in pairs {r, 4r}: each r_k * {1, 4} covers X_k once, but
+    {1, 4} is not a group (4 * 4 = 3), so the Gauss period is not constant
+    on classes and the orbit-stabilizer table would be wrong by ~2."""
+    classes = ((1, 4), (2, 8), (3, 12), (5, 7), (6, 11), (9, 10), (0,))
+    class_of = [0] * 13
+    for idx, pair in enumerate(classes, start=1):
+        for y in pair:
+            class_of[y] = idx
+    return SuperclassPartition(n=13, classes=classes, class_of=class_of)
+
+
+class TestBuildUValidation:
+    @pytest.mark.parametrize("make", [moved_residue_partition,
+                                      merged_orbits_partition,
+                                      split_orbit_partition,
+                                      non_group_pairs_partition,
+                                      corrupted_partition])
+    def test_non_orbit_partition_raises(self, make):
+        with pytest.raises(InvalidInput, match="not orbits"):
+            build_U(make())
+
+    def test_rejects_int64_overflow_before_allocating(self):
+        # r_i * r_j < n^2 must fit in int64; the check precedes every array
+        part = SuperclassPartition(n=2 ** 32, classes=((0,),), class_of=[])
+        with pytest.raises(InvalidInput, match="int64"):
+            build_U(part)
 
 
 class TestDebugChecks:

@@ -128,6 +128,20 @@ class TestSpectrum:
         s53 = spectrum(build_context(7))
         assert np.abs(s.values - s53.values).max() < 1e-12
 
+    def test_high_precision_builds_one_table(self, monkeypatch):
+        import heilbronn.spectra as spectra_mod
+
+        ctx = build_context(13)
+        direct = [heilbronn_sum(ctx, pow(ctx.g, l, ctx.modulus), 106)[0]
+                  for l in range(1, 14)]
+        calls = []
+        table = spectra_mod.pth_power_table
+        monkeypatch.setattr(spectra_mod, "pth_power_table",
+                            lambda p: calls.append(p) or table(p))
+        s = spectrum(ctx, precision_bits=106)
+        assert calls == [13]
+        assert np.array_equal(s.values, direct)
+
     @pytest.mark.parametrize("bits", [52, 10, -3])
     def test_rejects_precision_below_53_bits(self, bits):
         # the same check as heilbronn_sum, not a 53-bit result relabelled
