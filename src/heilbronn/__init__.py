@@ -10,9 +10,9 @@ from .sctheory import (StructureTensor, SuperclassPartition, UnitAction,
                        build_T, build_U, structure_constants_enumerated,
                        structure_tensor_enumerated, superclasses,
                        supercharacter_value)
-from .spectra import (PrecisionError, Spectrum, heilbronn_partition,
-                      heilbronn_sum, heilbronn_table, spectrum,
-                      subgroup_pth_powers, verify_spectrum_identities)
+from .spectra import (Spectrum, heilbronn_partition, heilbronn_sum,
+                      heilbronn_table, spectrum, subgroup_pth_powers,
+                      verify_spectrum_identities)
 from .fermat import (FermatResult, GoldenMismatch, StructureTensorP,
                      ciik_report, fermat_count_full_naive,
                      fermat_count_naive_reduced, fermat_F_spectral,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modarith import InvalidInput, build_context, check_odd_prime
-from .fermat import (fermat_F_spectral, fermat_count_naive_reduced,
-                     structure_block_enumerated,
+from .fermat import (NAIVE_MAX_PRIME, fermat_F_spectral,
+                     fermat_count_naive_reduced, structure_block_enumerated,
                      structure_constants_spectral_all)
 from .spectra import spectrum
 
@@ -104,7 +104,7 @@ def bench_single_F(p_list: list[int], reps: int = MIN_REPS) -> BenchReport:
     """Time one F(p;1,1,1): Theta(p^3) triple exhaustion vs spectrum build
     plus the Theta(p) spectral formula.  Results are cross-validated before
     any timing is recorded."""
-    _validate(p_list, reps, naive_cap=199)
+    _validate(p_list, reps, naive_cap=NAIVE_MAX_PRIME)
     samples = []
     for p in sorted(p_list):
         ctx = build_context(p)

@@ -10,20 +10,19 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .fermat import (FermatResult, ciik_report, fermat_count_naive_reduced,
-                     fermat_F_spectral, fermat_table, quartic_power_check,
-                     structure_block_enumerated,
+from .fermat import (NAIVE_MAX_PRIME, FermatResult, ciik_report,
+                     fermat_count_naive_reduced, fermat_F_spectral,
+                     fermat_table, quartic_power_check, structure_block_enumerated,
                      structure_constants_spectral_all, third_moment_check)
 from .modarith import (InvalidInput, build_context, check_odd_prime,
                        log_level_sets, odd_primes_upto, primitive_roots_mod_p2,
                        pth_power_table, truncated_log)
-from .spectra import (DEFAULT_PRECISION_BITS, PrecisionError, heilbronn_table,
-                      spectrum, verify_spectrum_identities)
+from .spectra import (DEFAULT_PRECISION_BITS, heilbronn_table, spectrum,
+                      verify_spectrum_identities)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INVALID = 2
-EXIT_PRECISION = 3
 EXIT_DISAGREEMENT = 4
 EXIT_GOLDEN = 5
 
@@ -170,8 +169,8 @@ def run_verify(p: int, depth: str = "quick") -> list[tuple[str, bool, str]]:
 def cmd_verify(args) -> int:
     check_odd_prime(args.p)
     depth = "full" if args.full else "quick"
-    if depth == "full" and args.p > 199:
-        raise InvalidInput("--full verification is capped at p <= 199")
+    if depth == "full" and args.p > NAIVE_MAX_PRIME:
+        raise InvalidInput(f"--full verification is capped at p <= {NAIVE_MAX_PRIME}")
     checks = run_verify(args.p, depth)
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
@@ -273,9 +272,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except PrecisionError as exc:
-        print(f"precision failure: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
     except bench_mod.MethodDisagreement as exc:
         print(f"disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT

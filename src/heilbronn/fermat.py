@@ -2,7 +2,8 @@
 F(p;a,b,c), brute-force oracles, the all-triples structure tensor from the
 third-moment identity (one zero-padded real-FFT correlation per row,
 O(p^2 log p) time and O(p^2) memory), moment identities, and
-diagonal-coefficient bounds."""
+diagonal-coefficient bounds.  F and the tensor fall back to exact integer
+counts when a spectral value fails to round, never to a second spectrum."""
 
 from __future__ import annotations
 
@@ -17,13 +18,15 @@ import numpy as np
 
 from .modarith import (InvalidInput, PrimeContext, build_context, odd_primes_upto,
                        pth_power_table)
-from .spectra import (EXTENDED_PRECISION_BITS, MAX_PRECISION_BITS,
-                      PrecisionError, Spectrum, bordered_unitary,
-                      heilbronn_partition, spectrum)
+from .spectra import (Spectrum, _check_coset_products, _heilbronn_labels,
+                      bordered_unitary, heilbronn_partition, spectrum)
 
-# Rounding residuals beyond this trigger a precision escalation; 0.5 is the
-# hard validity limit, 0.25 leaves a factor-2 margin.
+# Residuals of this or more send F and the tensor to exact integer counts;
+# 0.5 is the hard validity limit, 0.25 leaves a factor-2 margin.
 RESIDUAL_LIMIT = 0.25
+
+# Cap of the Theta(p^3) naive count: about 10^9 Python steps at p = 1009.
+NAIVE_MAX_PRIME = 199
 
 # Rows of the tensor block transformed per batch of FFTs, which bounds the
 # temporaries to a few (64, 2^ceil(log2(2p-1))) arrays.  Transforming all
@@ -52,7 +55,7 @@ class FermatResult:
     c: int
     F: int
     residual: float
-    method: str  # "spectral" | "naive"
+    method: str  # "spectral" | "exact" | "naive"
 
     @property
     def solution_count(self) -> int:
@@ -72,35 +75,42 @@ def fermat_F_spectral(ctx: PrimeContext, s: Spectrum,
 
     Coefficients are reduced to spectrum shifts through their superclass
     indices, so no new cosines are evaluated.  The pre-rounding value must
-    land within RESIDUAL_LIMIT of an integer; otherwise the spectrum is
-    recomputed at higher precision.
+    land within RESIDUAL_LIMIT of a nonnegative integer; otherwise F comes
+    from _fermat_F_exact, with method "exact" and the rejected residual.
     """
     _check_coprime(ctx, a, b, c)
     p = ctx.p
     i, j, k = (ctx.class_index(x) for x in (a, b, c))
-    while True:
-        # Shift invariance: sum_l H(i+l) H(j+l) H(k+l) = sum_m H(m) H(m+j-i) H(m+k-i).
-        triple = float((s.values * s.shifted(j - i) * s.shifted(k - i)).sum())
-        f_tilde = 1.0 - 2.0 / p + triple / (p * p)
-        F = round(f_tilde)
-        residual = abs(f_tilde - F)
-        if residual < RESIDUAL_LIMIT and F >= 0:
-            return FermatResult(p=p, a=a, b=b, c=c, F=F,
-                                residual=residual, method="spectral")
-        if s.precision_bits >= MAX_PRECISION_BITS:
-            raise PrecisionError(
-                f"residual {residual:.3g} at {s.precision_bits} bits for "
-                f"F({p};{a},{b},{c})")
-        bits = (EXTENDED_PRECISION_BITS if s.precision_bits < EXTENDED_PRECISION_BITS
-                else MAX_PRECISION_BITS)
-        s = spectrum(ctx, precision_bits=bits)
+    # Shift invariance: sum_l H(i+l) H(j+l) H(k+l) = sum_m H(m) H(m+j-i) H(m+k-i).
+    triple = float((s.values * s.shifted(j - i) * s.shifted(k - i)).sum())
+    f_tilde = 1.0 - 2.0 / p + triple / (p * p)
+    F = np.rint(f_tilde)  # NaN, not an error, when f_tilde is not finite
+    residual = float(abs(f_tilde - F))
+    ok = residual < RESIDUAL_LIMIT and F >= 0
+    return FermatResult(p=p, a=a, b=b, c=c,
+                        F=int(F) if ok else _fermat_F_exact(ctx, a, b, c),
+                        residual=residual, method="spectral" if ok else "exact")
+
+
+def _fermat_F_exact(ctx: PrimeContext, a: int, b: int, c: int) -> int:
+    """F(p;a,b,c) = #{u in A : (a u + b) c^-1 mod p^2 in A}, dividing the
+    congruence by y^p.  v is in A iff p does not divide v and T[v mod p] = v,
+    T = pth_power_table(p).  Theta(p) exact steps."""
+    p, p2 = ctx.p, ctx.modulus
+    T = pth_power_table(p).tolist()
+    a, b = (x * pow(c, -1, p2) % p2 for x in (a, b))
+    # Python ints: a * u reaches p^4, past int64 for p >= 55,109.
+    return sum(1 for u in T[1:]
+               if (v := (a * u + b) % p2) % p and T[v % p] == v)
 
 
 def fermat_count_naive_reduced(ctx: PrimeContext, a: int, b: int, c: int) -> int:
     """Exhaustive count of 1 <= x,y,z <= p-1 with a x^p + b y^p == c z^p
-    mod p^2; equals (p-1) * F(p;a,b,c).  Theta(p^3), oracle scale only."""
+    mod p^2; equals (p-1) * F(p;a,b,c).  Theta(p^3): p <= NAIVE_MAX_PRIME."""
     _check_coprime(ctx, a, b, c)
     p, p2 = ctx.p, ctx.modulus
+    if p > NAIVE_MAX_PRIME:
+        raise InvalidInput(f"naive count limited to p <= {NAIVE_MAX_PRIME}, got {p}")
     A = pth_power_table(p)[1:].tolist()
     axp = [a * t % p2 for t in A]
     byp = [b * t % p2 for t in A]
@@ -164,7 +174,7 @@ class StructureTensorP:
 
     p: int
     base: np.ndarray = field(repr=False)  # (p, p), base[j-1, k-1] = c(p, j, k)
-    origin: str
+    origin: str  # "spectral" | "exact"
 
     def c(self, i: int, j: int, k: int) -> int:
         p = self.p
@@ -178,8 +188,9 @@ class StructureTensorP:
 
     def block(self, i: int) -> np.ndarray:
         """The p x p matrix [c(i,j,k)]_{j,k} via cyclic index shifts."""
-        t = (self.p - i) % self.p
-        return np.roll(self.base, (-t, -t), axis=(0, 1))
+        if not 1 <= i <= self.p:
+            raise IndexError(f"index out of range: i = {i}")
+        return np.roll(self.base, (i, i), axis=(0, 1))
 
     def diagonal(self, i: int | None = None) -> np.ndarray:
         """(c(i,i,1), ..., c(i,i,p)); the multiset is i-independent.
@@ -235,6 +246,19 @@ def _third_moment_block(s: Spectrum) -> tuple[np.ndarray, float]:
     return out, float(residual)
 
 
+def _exact_block(ctx: PrimeContext) -> np.ndarray:
+    """The p x p block c(p,j,k) = #{a in A : g^k - a in X_j}, as X_p = A:
+    one np.bincount of the labels of the differences, offset by row k."""
+    p, p2 = ctx.p, ctx.modulus
+    labels = _heilbronn_labels(ctx)
+    A = pth_power_table(p)[1:]
+    gk = np.array([pow(ctx.g, k, p2) for k in range(1, p + 1)], dtype=np.int64)
+    rows = np.arange(p)[:, None] * (p + 2) - 1  # row k-1: labels 1..p+2
+    idx = labels[(gk[:, None] - A[None, :]) % p2] + rows
+    counts = np.bincount(idx.ravel(), minlength=p * (p + 2)).reshape(p, p + 2)
+    return np.ascontiguousarray(counts[:, :p].T)  # [j-1, k-1]
+
+
 def structure_constants_spectral_all(ctx: PrimeContext, s: Spectrum,
                                      debug: bool = False) -> StructureTensorP:
     """All c(i,j,k) from the third-moment identity
@@ -244,26 +268,21 @@ def structure_constants_spectral_all(ctx: PrimeContext, s: Spectrum,
     The p x p block takes one zero-padded real-FFT correlation per row,
     batched in fixed blocks of rows: O(p^2 log p) time and O(p^2) memory.
     The entries are rounded to integers; a residual of RESIDUAL_LIMIT or
-    more, or a negative entry, recomputes the spectrum at 106, then 256
-    bits, and raises PrecisionError beyond that.
+    more, or a negative entry, takes the block from _exact_block instead,
+    with origin "exact".  p >= 55,109 raises InvalidInput before anything
+    p^2-sized is allocated.
 
     Debug mode recomputes block i = 1 independently, as the bordered
-    product U D_1 U of (p+2) x (p+2) matrices, and raises RuntimeError
-    unless it matches the shift-invariance reconstruction.
+    product U D_1 U of (p+2) x (p+2) matrices from s, and raises
+    RuntimeError unless it matches the shift-invariance reconstruction.
     """
     p = ctx.p
-    while True:
-        base, residual = _third_moment_block(s)
-        if residual < RESIDUAL_LIMIT and base.min() >= 0:
-            break
-        if s.precision_bits >= MAX_PRECISION_BITS:
-            raise PrecisionError(
-                f"tensor rounding residual {residual:.3g} at "
-                f"{s.precision_bits} bits for p={p}")
-        bits = (EXTENDED_PRECISION_BITS if s.precision_bits < EXTENDED_PRECISION_BITS
-                else MAX_PRECISION_BITS)
-        s = spectrum(ctx, precision_bits=bits)
-    tensor = StructureTensorP(p=p, base=base, origin="spectral")
+    _check_coset_products(p)
+    base, residual = _third_moment_block(s)
+    origin = "spectral"
+    if not (residual < RESIDUAL_LIMIT and base.min() >= 0):
+        base, origin = _exact_block(ctx), "exact"
+    tensor = StructureTensorP(p=p, base=base, origin=origin)
     if debug:
         U = bordered_unitary(s)
         D_1 = np.diag(np.concatenate([s.shifted(1), [-1.0, p - 1.0]]))
@@ -300,17 +319,6 @@ def third_moment_check(ctx: PrimeContext, s: Spectrum,
     return MomentCheck(lhs=lhs, rhs=float(rhs), tolerance=tolerance)
 
 
-# Correction = 1 + (p-1)^3 - p^2 * e where e counts the two border terms of
-# sum_r |X_r| c(i,k,r) c(j,l,r): e = p-1 when i=k and j=l, e = 1 when i!=k
-# and j!=l, and e = 0 in the mixed cases.
-_FOURTH_MOMENT_CORRECTION = {
-    (True, True): lambda p: -2 * p * p + 3 * p,
-    (False, False): lambda p: p ** 3 - 4 * p * p + 3 * p,
-    (True, False): lambda p: p ** 3 - 3 * p * p + 3 * p,
-    (False, True): lambda p: p ** 3 - 3 * p * p + 3 * p,
-}
-
-
 def fourth_moment_check(ctx: PrimeContext, s: Spectrum,
                         tensor: StructureTensorP,
                         i: int, j: int, k: int, l: int,
@@ -322,7 +330,11 @@ def fourth_moment_check(ctx: PrimeContext, s: Spectrum,
                       for r in range(1, p + 1))
     quartic = float((s.shifted(i) * s.shifted(j)
                      * s.shifted(k) * s.shifted(l)).sum())
-    correction = _FOURTH_MOMENT_CORRECTION[(i == k, j == l)](p)
+    # 1 + (p-1)^3 - p^2 e, where e counts the two border terms of
+    # sum_r |X_r| c(i,k,r) c(j,l,r): p-1 when i = k and j = l, 1 when
+    # i != k and j != l, 0 in the mixed cases.
+    e = {(True, True): p - 1, (False, False): 1}.get((i == k, j == l), 0)
+    correction = 1 + (p - 1) ** 3 - p * p * e
     return MomentCheck(lhs=float(lhs), rhs=quartic + correction,
                        tolerance=tolerance)
 

@@ -18,13 +18,6 @@ from .modarith import InvalidInput, PrimeContext, fermat_quotient, pth_power_tab
 from .sctheory import SuperclassPartition, SupercharacterMatrices, build_U
 
 DEFAULT_PRECISION_BITS = 53
-EXTENDED_PRECISION_BITS = 106
-MAX_PRECISION_BITS = 256
-
-
-class PrecisionError(RuntimeError):
-    """The rounding residual stays too large for integer recovery at the
-    highest working precision."""
 
 
 def _check_precision(precision_bits: int) -> None:
@@ -189,25 +182,35 @@ def subgroup_pth_powers(ctx: PrimeContext) -> list[int]:
     return sorted(pth_power_table(ctx.p)[1:].tolist())
 
 
-def heilbronn_partition(ctx: PrimeContext) -> SuperclassPartition:
-    """Orbits of A on Z/p^2Z with the labeling X_i = g^i A for i = 1..p,
-    X_{p+1} the nonzero multiples of p, X_{p+2} = {0}.
-
-    The cosets are one (p, p-1) int64 array; its products g^i * a < p^4
-    bound p below 55,109.
-    """
-    p, p2 = ctx.p, ctx.modulus
+def _check_coset_products(p: int) -> None:
+    """Raise InvalidInput unless the coset products g^i a < p^4 fit int64."""
     if p ** 4 > np.iinfo(np.int64).max:
         raise InvalidInput(f"p = {p} overflows the int64 products of the cosets g^i A")
+
+
+def _heilbronn_labels(ctx: PrimeContext) -> np.ndarray:
+    """The uint16 array label[r] = i for r in X_i, r in Z/p^2Z: X_i = g^i A
+    for i = 1..p, X_{p+1} the nonzero multiples of p, X_{p+2} = {0}.  One
+    scatter of the (p, p-1) int64 cosets; p < 55,109 keeps p + 2 < 2^16."""
+    p, p2 = ctx.p, ctx.modulus
+    _check_coset_products(p)
     A = pth_power_table(p)[1:]
     gi = np.array([pow(ctx.g, i, p2) for i in range(1, p + 1)], dtype=np.int64)
-    cosets = np.sort(gi[:, None] * A[None, :] % p2, axis=1)
-    class_of = np.empty(p2, dtype=np.int64)
-    class_of[cosets] = np.arange(1, p + 1)[:, None]
-    class_of[p::p] = p + 1
-    class_of[0] = p + 2
+    labels = np.empty(p2, dtype=np.uint16)
+    labels[gi[:, None] * A[None, :] % p2] = np.arange(1, p + 1)[:, None]
+    labels[p::p] = p + 1
+    labels[0] = p + 2
+    return labels
+
+
+def heilbronn_partition(ctx: PrimeContext) -> SuperclassPartition:
+    """Orbits of A on Z/p^2Z labeled as in _heilbronn_labels (so p < 55,109);
+    one stable radix argsort of the labels lists each class in order."""
+    p, p2 = ctx.p, ctx.modulus
+    labels = _heilbronn_labels(ctx)
+    cosets = np.argsort(labels, kind="stable")[:p * (p - 1)].reshape(p, p - 1)
     classes = tuple(map(tuple, cosets.tolist())) + (tuple(range(p, p2, p)), (0,))
-    return SuperclassPartition(n=p2, classes=classes, class_of=class_of.tolist())
+    return SuperclassPartition(n=p2, classes=classes, class_of=labels.tolist())
 
 
 @dataclass(frozen=True)
@@ -220,28 +223,25 @@ class HeilbronnTable:
     U: np.ndarray
 
 
-def _hankel_block(s: Spectrum) -> np.ndarray:
-    """The p x p matrix [H_p(g^(i+j))]_{i,j = 1..p}, cyclic in i + j."""
+def _heilbronn_sigma(s: Spectrum) -> np.ndarray:
+    """The (p+2) x (p+2) table sigma: [H_p(g^(i+j))]_{i,j = 1..p}, cyclic in
+    i + j, bordered by -1, p-1 and the all-ones row."""
     p = s.p
     idx = np.arange(p)
-    return s.values[(idx[:, None] + idx[None, :] + 1) % p]
+    sigma = np.full((p + 2, p + 2), p - 1.0)
+    sigma[:p, :p] = s.values[(idx[:, None] + idx[None, :] + 1) % p]
+    sigma[:p, p] = sigma[p, :p] = -1.0
+    sigma[p + 1] = 1.0
+    return sigma
 
 
 def bordered_unitary(s: Spectrum) -> np.ndarray:
-    """The explicit (p+2) x (p+2) unitary with Heilbronn block and
-    -1 / sqrt(p-1) borders, scaled by 1/p."""
+    """The explicit (p+2) x (p+2) unitary: sigma scaled by 1/p, with
+    sqrt(p-1) / p in the last row and column but their corner 1/p."""
     p = s.p
-    sq = math.sqrt(p - 1)
-    U = np.empty((p + 2, p + 2))
-    U[:p, :p] = _hankel_block(s)
-    U[:p, p] = -1.0
-    U[:p, p + 1] = sq
-    U[p, :p] = -1.0
-    U[p, p] = p - 1.0
-    U[p, p + 1] = sq
-    U[p + 1, :p + 1] = sq
-    U[p + 1, p + 1] = 1.0
-    return U / p
+    U = _heilbronn_sigma(s) / p
+    U[:p + 1, p + 1] = U[p + 1, :p + 1] = math.sqrt(p - 1) / p
+    return U
 
 
 def heilbronn_table(ctx: PrimeContext, s: Spectrum,
@@ -256,15 +256,7 @@ def heilbronn_table(ctx: PrimeContext, s: Spectrum,
     the partition.
     """
     p = ctx.p
-    N = p + 2
-    sigma = np.empty((N, N))
-    sigma[:p, :p] = _hankel_block(s)
-    sigma[:p, p] = -1.0
-    sigma[:p, p + 1] = p - 1.0
-    sigma[p, :p] = -1.0
-    sigma[p, p] = p - 1.0
-    sigma[p, p + 1] = p - 1.0
-    sigma[p + 1, :] = 1.0
+    sigma = _heilbronn_sigma(s)
     U = bordered_unitary(s)
 
     partition = heilbronn_partition(ctx)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from heilbronn.cli import (EXIT_DISAGREEMENT, EXIT_GOLDEN, EXIT_INVALID,
-                           EXIT_OK, EXIT_PRECISION, main, run_verify)
-from heilbronn.spectra import MAX_PRECISION_BITS, spectrum
+                           EXIT_OK, main, run_verify)
+from heilbronn.spectra import spectrum
 
 
 def run(capsys, *argv):
@@ -78,18 +78,30 @@ class TestFermatCommand:
         assert d[0]["F"] == 2 and d[0]["solution_count"] == 4116
 
     def test_precision_failure_exit_code(self, capsys, monkeypatch):
-        # a 256-bit spectrum whose F residual is 0.42 has nowhere to escalate
+        # a 256-bit spectrum whose F residual is 0.42 fails the precision
+        # gate; the exact count answers, so the exit code is 0 and the JSON
+        # names the method
         import heilbronn.cli as cli_mod
 
         def perturbed_spectrum(ctx, precision_bits):
             s = spectrum(ctx)
             return dataclasses.replace(s, values=s.values + 0.15,
-                                       precision_bits=MAX_PRECISION_BITS)
+                                       precision_bits=256)
 
         monkeypatch.setattr(cli_mod, "spectrum", perturbed_spectrum)
-        code, _, err = run(capsys, "fermat", "-p", "13")
-        assert code == EXIT_PRECISION
-        assert "precision failure" in err
+        code, out, err = run(capsys, "fermat", "-p", "13", "--json")
+        assert code == EXIT_OK
+        assert err == ""
+        (d,) = json.loads(out)
+        assert d["method"] == "exact"
+        assert d["F"] == 2
+        assert d["residual"] == pytest.approx(0.42, abs=0.01)
+
+    def test_naive_count_capped(self, capsys):
+        code, out, err = run(capsys, "fermat", "-p", "211", "--method", "both")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "p <= 199" in err
 
     def test_divisible_coefficient(self, capsys):
         code, _, err = run(capsys, "fermat", "-p", "7", "-a", "7")

@@ -8,11 +8,10 @@ import pytest
 import heilbronn.fermat as fermat_mod
 from heilbronn.modarith import InvalidInput, build_context, odd_primes_upto, pow_mod
 from heilbronn.sctheory import structure_tensor_enumerated
-from heilbronn.spectra import (EXTENDED_PRECISION_BITS, MAX_PRECISION_BITS,
-                               PrecisionError, bordered_unitary,
-                               heilbronn_partition, spectrum)
-from heilbronn.fermat import (RESIDUAL_LIMIT, GoldenMismatch, ciik_report,
-                              fermat_count_full_naive,
+from heilbronn.spectra import (Spectrum, bordered_unitary, heilbronn_partition,
+                               spectrum)
+from heilbronn.fermat import (NAIVE_MAX_PRIME, RESIDUAL_LIMIT, GoldenMismatch,
+                              ciik_report, fermat_count_full_naive,
                               fermat_count_naive_reduced, fermat_F_spectral,
                               fermat_table, fourth_moment_check, golden_table,
                               quartic_power_check, structure_block_enumerated,
@@ -106,6 +105,11 @@ class TestNaiveCounts:
         with pytest.raises(InvalidInput):
             fermat_count_full_naive(build_context(13), 1, 1, 1)
 
+    def test_reduced_count_scale_cap(self):
+        assert NAIVE_MAX_PRIME == 199
+        with pytest.raises(InvalidInput, match="p <= 199"):
+            fermat_count_naive_reduced(build_context(211), 1, 1, 1)
+
     def test_rejects_divisible(self):
         with pytest.raises(InvalidInput):
             fermat_count_naive_reduced(build_context(5), 1, 10, 1)
@@ -162,6 +166,30 @@ class TestSpectralTensor:
             assert tensor.diagonal(i).tolist() == loop
         with pytest.raises(IndexError):
             tensor.diagonal(0)
+
+    @pytest.mark.parametrize("i", [0, 32])
+    def test_block_rejects_out_of_range_index(self, i):
+        # i is a class index in 1..p, as in c and diagonal, not read mod p
+        ctx = build_context(31)
+        tensor = structure_constants_spectral_all(ctx, spectrum(ctx))
+        with pytest.raises(IndexError):
+            tensor.block(i)
+        for k in (1, 7, 31):
+            assert np.array_equal(tensor.block(k)[:, 4],
+                                  [tensor.c(k, j, 5) for j in range(1, 32)])
+
+    def test_oversized_prime_refused_before_allocating(self, monkeypatch):
+        # p = 100,003 would need an 80 GB p x p int64 block
+        def no_block(*args):
+            raise AssertionError("p x p block allocated")
+
+        monkeypatch.setattr(fermat_mod, "_third_moment_block", no_block)
+        monkeypatch.setattr(fermat_mod, "_exact_block", no_block)
+        ctx = build_context(100003)
+        stub = Spectrum(p=ctx.p, g=ctx.g, values=np.zeros(ctx.p),
+                        err_bound=0.0, precision_bits=53)
+        with pytest.raises(InvalidInput, match="int64"):
+            structure_constants_spectral_all(ctx, stub)
 
     def test_debug_mismatch_raises_runtime_error(self, monkeypatch):
         # kept under python -O: a corrupted U makes the U D_1 U block disagree
@@ -272,48 +300,92 @@ class TestTensorLaws:
             assert int(tensor.diagonal(i).sum()) == p - 2
 
 
-class TestPrecisionLadder:
+class TestExactFallback:
     @pytest.fixture
-    def escalations(self, monkeypatch):
-        """Record the precision of every spectrum the ladder recomputes."""
-        bits_seen = []
+    def no_spectrum(self, monkeypatch):
+        """The fallback must never rebuild the spectrum."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum recomputed")
 
-        def recording_spectrum(ctx, precision_bits):
-            bits_seen.append(precision_bits)
-            return spectrum(ctx, precision_bits=precision_bits)
+        monkeypatch.setattr(fermat_mod, "spectrum", refuse)
 
-        monkeypatch.setattr(fermat_mod, "spectrum", recording_spectrum)
-        return bits_seen
-
-    def test_tensor_escalates_from_53_bits(self, escalations):
+    @pytest.mark.parametrize("bits", [53, 256])
+    def test_tensor_falls_back_to_exact(self, no_spectrum, bits):
         ctx = build_context(13)
         s = spectrum(ctx)
-        bad = perturbed(s, 53)
+        bad = perturbed(s, bits)
         block = bordered_product_block(bad, 13)
         assert np.abs(block - np.rint(block)).max() > RESIDUAL_LIMIT
         tensor = structure_constants_spectral_all(ctx, bad)
-        assert escalations == [EXTENDED_PRECISION_BITS]
+        assert tensor.origin == "exact"
         expected = np.rint(bordered_product_block(s, 13)).astype(np.int64)
         assert np.array_equal(tensor.base, expected)
 
-    def test_F_escalates_from_53_bits(self, escalations):
+    @pytest.mark.parametrize("bits", [53, 256])
+    def test_F_falls_back_to_exact(self, no_spectrum, bits):
         ctx = build_context(13)
-        bad = perturbed(spectrum(ctx), 53)
+        bad = perturbed(spectrum(ctx), bits)
         f_tilde = 1 - 2 / 13 + float((bad.values ** 3).sum()) / 13 ** 2
         assert abs(f_tilde - round(f_tilde)) > RESIDUAL_LIMIT
         r = fermat_F_spectral(ctx, bad, 1, 1, 1)
-        assert escalations == [EXTENDED_PRECISION_BITS]
+        assert r.method == "exact"
         assert r.F == fermat_count_naive_reduced(ctx, 1, 1, 1) // 12
-        assert r.residual < RESIDUAL_LIMIT
+        # the result keeps the residual that was rejected
+        assert r.residual == pytest.approx(abs(f_tilde - round(f_tilde)))
 
-    def test_max_precision_raises(self, escalations):
+    def test_nan_spectrum_falls_back(self, no_spectrum):
         ctx = build_context(13)
-        bad = perturbed(spectrum(ctx), MAX_PRECISION_BITS)
-        with pytest.raises(PrecisionError):
-            structure_constants_spectral_all(ctx, bad)
-        with pytest.raises(PrecisionError):
-            fermat_F_spectral(ctx, bad, 1, 1, 1)
-        assert escalations == []
+        s = spectrum(ctx)
+        bad = dataclasses.replace(s, values=np.full(13, np.nan))
+        r = fermat_F_spectral(ctx, bad, 2, 3, 5)
+        assert r.method == "exact"
+        assert r.F == fermat_F_spectral(ctx, s, 2, 3, 5).F
+        with np.errstate(invalid="ignore"):
+            tensor = structure_constants_spectral_all(ctx, bad)
+        assert tensor.origin == "exact"
+        assert np.array_equal(tensor.base,
+                              structure_constants_spectral_all(ctx, s).base)
+
+    def test_negative_tensor_entry_falls_back(self, no_spectrum, monkeypatch):
+        ctx = build_context(13)
+        s = spectrum(ctx)
+        clean = structure_constants_spectral_all(ctx, s)
+        negative = clean.base.copy()
+        negative[0, 0] = -1
+        monkeypatch.setattr(fermat_mod, "_third_moment_block",
+                            lambda sp: (negative, 0.0))
+        tensor = structure_constants_spectral_all(ctx, s)
+        assert tensor.origin == "exact"
+        assert np.array_equal(tensor.base, clean.base)
+
+    def test_debug_checks_the_spectrum_given(self):
+        # U D_1 U is formed from the spectrum given: shifted by 0.2, the
+        # entries move by up to 0.55, which forces the exact block and
+        # rounds U D_1 U away from it
+        ctx = build_context(13)
+        s = spectrum(ctx)
+        bad = dataclasses.replace(s, values=s.values + 0.2)
+        with pytest.raises(RuntimeError, match="mismatch"):
+            structure_constants_spectral_all(ctx, bad, debug=True)
+        assert structure_constants_spectral_all(ctx, bad).origin == "exact"
+
+    @pytest.mark.parametrize("p", [101, 2003])
+    def test_exact_F_matches_spectral(self, p):
+        ctx = build_context(p)
+        s = spectrum(ctx)
+        rng = np.random.default_rng(p)
+        units = [int(u) for u in rng.integers(1, p * p, size=200) if u % p][:150]
+        for a, b, c in zip(units[0::3], units[1::3], units[2::3]):
+            r = fermat_F_spectral(ctx, s, a, b, c)
+            assert r.method == "spectral"
+            assert fermat_mod._fermat_F_exact(ctx, a, b, c) == r.F
+
+    @pytest.mark.parametrize("p", [3, 13, 101, 1009])
+    def test_exact_block_matches_fft(self, p):
+        ctx = build_context(p)
+        tensor = structure_constants_spectral_all(ctx, spectrum(ctx))
+        assert tensor.origin == "spectral"
+        assert np.array_equal(fermat_mod._exact_block(ctx), tensor.base)
 
 
 class TestMoments:

@@ -1,11 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import heilbronn
+from heilbronn import cli
 
 SOURCES = sorted(Path(heilbronn.__file__).parent.glob("*.py"))
 
@@ -24,3 +26,12 @@ def test_no_assert_in_library_code(path):
 def test_sources_found():
     assert {"modarith.py", "sctheory.py", "spectra.py", "fermat.py",
             "bench.py", "cli.py"} <= {p.name for p in SOURCES}
+
+
+def test_readme_exit_codes_match_cli():
+    # the README's exit-code table lists exactly the EXIT_* codes of the CLI
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text().split("Exit codes:", 1)[1].split("\n## ", 1)[0]
+    documented = sorted(int(m) for m in re.findall(r"^\| (\d+) \|", table, re.M))
+    defined = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+    assert documented == defined
