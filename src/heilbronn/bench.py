@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modarith import InvalidInput, build_context, check_odd_prime
-from .fermat import (NAIVE_MAX_PRIME, fermat_F_spectral,
-                     fermat_count_naive_reduced, structure_block_enumerated,
-                     structure_constants_spectral_all)
+from .fermat import (NAIVE_MAX_PRIME, _third_moment_block, fermat_F_spectral,
+                     fermat_count_naive_reduced, structure_block_enumerated)
 from .spectra import spectrum
 
 MIN_REPS = 3
@@ -133,14 +132,14 @@ def _tensor_naive_all(ctx) -> np.ndarray:
 
 
 def _tensor_spectral_all(ctx) -> np.ndarray:
-    tensor = structure_constants_spectral_all(ctx, spectrum(ctx))
-    return np.stack([tensor.block(i) for i in range(1, ctx.p + 1)])
+    base, _ = _third_moment_block(spectrum(ctx))
+    return np.stack([np.roll(base, (i, i), axis=(0, 1)) for i in range(1, ctx.p + 1)])
 
 
 def bench_all_triples(p_list: list[int], reps: int = MIN_REPS) -> BenchReport:
-    """Time all c(i,j,k) at once: Theta(p^4) exhaustion vs the spectral
-    block from the third-moment identity (one real-FFT correlation per row,
-    O(p^2 log p) time and O(p^2) memory) plus the p cyclic shifts that
+    """Time all c(i,j,k) at once: Theta(p^4) exhaustion vs the paper's
+    third-moment FFT block (_third_moment_block, O(p^2 log p) time; the
+    library's tensor counts exactly instead) plus the p cyclic shifts that
     stack every block.  Tensors must agree exactly first."""
     _validate(p_list, reps, naive_cap=61)
     samples = []

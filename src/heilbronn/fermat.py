@@ -1,9 +1,8 @@
-"""Fermat-congruence counting mod p^2: the spectral formula for
-F(p;a,b,c), brute-force oracles, the all-triples structure tensor from the
-third-moment identity (one zero-padded real-FFT correlation per row,
-O(p^2 log p) time and O(p^2) memory), moment identities, and
-diagonal-coefficient bounds.  F and the tensor fall back to exact integer
-counts when a spectral value fails to round, never to a second spectrum."""
+"""Fermat-congruence counting mod p^2: the spectral formula for F(p;a,b,c)
+with an exact O(p) fallback, brute-force oracles, the all-triples structure
+tensor counted exactly from Fermat quotients (O(p^2), no FFT, no rounding)
+and the paper's third-moment FFT block that debug mode checks it against,
+moment identities, and diagonal-coefficient bounds."""
 
 from __future__ import annotations
 
@@ -18,20 +17,20 @@ import numpy as np
 
 from .modarith import (InvalidInput, PrimeContext, build_context, odd_primes_upto,
                        pth_power_table)
-from .spectra import (Spectrum, _check_coset_products, _heilbronn_labels,
-                      bordered_unitary, heilbronn_partition, spectrum)
+from .spectra import Spectrum, heilbronn_partition, spectrum
 
-# Residuals of this or more send F and the tensor to exact integer counts;
-# 0.5 is the hard validity limit, 0.25 leaves a factor-2 margin.
+# Residuals of this or more send F to its exact integer count; 0.5 is the
+# hard validity limit, 0.25 leaves a factor-2 margin.
 RESIDUAL_LIMIT = 0.25
+
+TENSOR_PRIME_CAP = 55_109  # the tensor refuses p from here on
 
 # Cap of the Theta(p^3) naive count: about 10^9 Python steps at p = 1009.
 NAIVE_MAX_PRIME = 199
 
-# Rows of the tensor block transformed per batch of FFTs, which bounds the
-# temporaries to a few (64, 2^ceil(log2(2p-1))) arrays.  Transforming all
-# p//2 + 1 rows at once raised a process's peak RSS at p = 1009 from 51 to
-# 77 MB, and ran slower.
+# Rows of a tensor block built per batch, which bounds the temporaries to a
+# few (64, p) or (64, 2^ceil(log2(2p-1))) arrays.  All rows at once raised a
+# process's peak RSS at p = 1009 from 51 to 77 MB (FFT), 39 to 53 MB (exact).
 _ROW_BLOCK = 64
 
 
@@ -92,16 +91,32 @@ def fermat_F_spectral(ctx: PrimeContext, s: Spectrum,
                         residual=residual, method="spectral" if ok else "exact")
 
 
+def _quotient_lines(ctx: PrimeContext) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha_r, beta_r) for r = 2..p-1, int64 mod p, such that
+    c(p,j,k) = #{r : j == alpha_r + beta_r k (mod p)}, j = p read as 0.
+
+    c(p,j,k) = #{y in X_k : y - 1 in X_j}, and X_k holds the one lift
+    y = r + ps of each unit r with q(y) == q(r) - s/r == k q(g), q the Fermat
+    quotient: beta_r = r/(r-1), alpha_r = ((r-1) q(r-1) - r q(r)) / ((r-1) q(g))
+    with r q(r) == (T[r] - r)/p.  O(p); all products are below p^2."""
+    p = ctx.p
+    r = np.arange(1, p)
+    rq = (pth_power_table(p)[1:] - r) // p  # r q(r) mod p, already in 0..p-1
+    log = np.asarray(ctx.log_mod_p[1:])  # g^log[r-1] == r mod p
+    inv = np.argsort(log)[-log[:-1] % (p - 1)] + 1  # (r-1)^-1 mod p, r = 2..p-1
+    alpha = (rq[:-1] - rq[1:]) * inv % p * ctx.inv_quotient_g % p
+    beta = r[1:] * inv % p
+    return alpha, beta
+
+
 def _fermat_F_exact(ctx: PrimeContext, a: int, b: int, c: int) -> int:
-    """F(p;a,b,c) = #{u in A : (a u + b) c^-1 mod p^2 in A}, dividing the
-    congruence by y^p.  v is in A iff p does not divide v and T[v mod p] = v,
-    T = pth_power_table(p).  Theta(p) exact steps."""
-    p, p2 = ctx.p, ctx.modulus
-    T = pth_power_table(p).tolist()
-    a, b = (x * pow(c, -1, p2) % p2 for x in (a, b))
-    # Python ints: a * u reaches p^4, past int64 for p >= 55,109.
-    return sum(1 for u in T[1:]
-               if (v := (a * u + b) % p2) % p and T[v % p] == v)
+    """F(p;a,b,c) = c(p, j, k) with j == ind(c) - ind(b) and
+    k == ind(a) - ind(b) (mod p), ind = ctx.class_index: one O(p) count
+    over the lines of _quotient_lines."""
+    p = ctx.p
+    i_a, i_b, i_c = (ctx.class_index(x) for x in (a, b, c))
+    alpha, beta = _quotient_lines(ctx)
+    return int(np.count_nonzero((alpha + beta * (i_a - i_b) - (i_c - i_b)) % p == 0))
 
 
 def fermat_count_naive_reduced(ctx: PrimeContext, a: int, b: int, c: int) -> int:
@@ -174,7 +189,7 @@ class StructureTensorP:
 
     p: int
     base: np.ndarray = field(repr=False)  # (p, p), base[j-1, k-1] = c(p, j, k)
-    origin: str  # "spectral" | "exact"
+    origin: str  # always "exact": base is an integer count, never rounded
 
     def c(self, i: int, j: int, k: int) -> int:
         p = self.p
@@ -247,50 +262,40 @@ def _third_moment_block(s: Spectrum) -> tuple[np.ndarray, float]:
 
 
 def _exact_block(ctx: PrimeContext) -> np.ndarray:
-    """The p x p block c(p,j,k) = #{a in A : g^k - a in X_j}, as X_p = A:
-    one np.bincount of the labels of the differences, offset by row k."""
-    p, p2 = ctx.p, ctx.modulus
-    labels = _heilbronn_labels(ctx)
-    A = pth_power_table(p)[1:]
-    gk = np.array([pow(ctx.g, k, p2) for k in range(1, p + 1)], dtype=np.int64)
-    rows = np.arange(p)[:, None] * (p + 2) - 1  # row k-1: labels 1..p+2
-    idx = labels[(gk[:, None] - A[None, :]) % p2] + rows
-    counts = np.bincount(idx.ravel(), minlength=p * (p + 2)).reshape(p, p + 2)
-    return np.ascontiguousarray(counts[:, :p].T)  # [j-1, k-1]
+    """The p x p block c(p,j,k), summing the p-2 permutation matrices of
+    _quotient_lines.  Row k' = k-1 counts the j' = j-1 they hit, which is
+    column k of c = c^T (r -> 1-r transposes each matrix).  One np.bincount
+    per _ROW_BLOCK rows keeps each row's writes inside that row."""
+    p = ctx.p
+    alpha, beta = _quotient_lines(ctx)
+    gamma = (alpha - 1 + beta) % p  # j' == gamma_r + beta_r k'
+    out = np.empty((p, p), dtype=np.int64)
+    for k0 in range(0, p, _ROW_BLOCK):
+        k = np.arange(k0, min(k0 + _ROW_BLOCK, p))
+        idx = k[:, None] * beta + gamma
+        # idx mod p, offset to row k - k0; // by a scalar beats % twofold
+        idx -= (idx // p - (k - k0)[:, None]) * p
+        out[k0:k0 + len(k)] = np.bincount(
+            idx.ravel(), minlength=len(k) * p).reshape(len(k), p)
+    return out
 
 
 def structure_constants_spectral_all(ctx: PrimeContext, s: Spectrum,
                                      debug: bool = False) -> StructureTensorP:
-    """All c(i,j,k) from the third-moment identity
-    c(p,j,k) = 1 + (S_{j,k} - 2p)/p^2, S_{j,k} = sum_l H_l H_{l+j} H_{l+k},
-    with H_l = H(g^l); shift invariance supplies every other i.
-
-    The p x p block takes one zero-padded real-FFT correlation per row,
-    batched in fixed blocks of rows: O(p^2 log p) time and O(p^2) memory.
-    The entries are rounded to integers; a residual of RESIDUAL_LIMIT or
-    more, or a negative entry, takes the block from _exact_block instead,
-    with origin "exact".  p >= 55,109 raises InvalidInput before anything
-    p^2-sized is allocated.
-
-    Debug mode recomputes block i = 1 independently, as the bordered
-    product U D_1 U of (p+2) x (p+2) matrices from s, and raises
-    RuntimeError unless it matches the shift-invariance reconstruction.
-    """
+    """All c(i,j,k): the block c(p,.,.) from _exact_block, O(p^2) time and
+    memory with no FFT and no rounding; shift invariance supplies every
+    other i.  p >= TENSOR_PRIME_CAP raises InvalidInput before allocating.
+    s is read only by debug mode, which checks the third-moment identity on
+    all p^2 entries: the rounded FFT block of _third_moment_block must equal
+    the exact block, or RuntimeError is raised."""
     p = ctx.p
-    _check_coset_products(p)
-    base, residual = _third_moment_block(s)
-    origin = "spectral"
-    if not (residual < RESIDUAL_LIMIT and base.min() >= 0):
-        base, origin = _exact_block(ctx), "exact"
-    tensor = StructureTensorP(p=p, base=base, origin=origin)
-    if debug:
-        U = bordered_unitary(s)
-        D_1 = np.diag(np.concatenate([s.shifted(1), [-1.0, p - 1.0]]))
-        T_1 = U @ D_1 @ U
-        direct = np.rint(T_1[:p, :p]).astype(np.int64)
-        if not np.array_equal(direct, tensor.block(1)):
-            raise RuntimeError("shift-invariance reconstruction mismatch")
-    return tensor
+    if p >= TENSOR_PRIME_CAP:
+        raise InvalidInput(f"p = {p}: the p x p int64 tensor block would take "
+                           f"{8e-9 * p * p:.0f} GB; it needs p < {TENSOR_PRIME_CAP}")
+    base = _exact_block(ctx)
+    if debug and not np.array_equal(_third_moment_block(s)[0], base):
+        raise RuntimeError("third-moment identity mismatch")
+    return StructureTensorP(p=p, base=base, origin="exact")
 
 
 @dataclass(frozen=True)

@@ -182,18 +182,13 @@ def subgroup_pth_powers(ctx: PrimeContext) -> list[int]:
     return sorted(pth_power_table(ctx.p)[1:].tolist())
 
 
-def _check_coset_products(p: int) -> None:
-    """Raise InvalidInput unless the coset products g^i a < p^4 fit int64."""
-    if p ** 4 > np.iinfo(np.int64).max:
-        raise InvalidInput(f"p = {p} overflows the int64 products of the cosets g^i A")
-
-
 def _heilbronn_labels(ctx: PrimeContext) -> np.ndarray:
     """The uint16 array label[r] = i for r in X_i, r in Z/p^2Z: X_i = g^i A
     for i = 1..p, X_{p+1} the nonzero multiples of p, X_{p+2} = {0}.  One
     scatter of the (p, p-1) int64 cosets; p < 55,109 keeps p + 2 < 2^16."""
     p, p2 = ctx.p, ctx.modulus
-    _check_coset_products(p)
+    if p ** 4 > np.iinfo(np.int64).max:
+        raise InvalidInput(f"p = {p} overflows the int64 products of the cosets g^i A")
     A = pth_power_table(p)[1:]
     gi = np.array([pow(ctx.g, i, p2) for i in range(1, p + 1)], dtype=np.int64)
     labels = np.empty(p2, dtype=np.uint16)

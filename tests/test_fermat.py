@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import heilbronn.fermat as fermat_mod
-from heilbronn.modarith import InvalidInput, build_context, odd_primes_upto, pow_mod
+import heilbronn.spectra as spectra_mod
+from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto, pow_mod,
+                               pth_power_table)
 from heilbronn.sctheory import structure_tensor_enumerated
 from heilbronn.spectra import (Spectrum, bordered_unitary, heilbronn_partition,
                                spectrum)
@@ -188,15 +190,21 @@ class TestSpectralTensor:
         ctx = build_context(100003)
         stub = Spectrum(p=ctx.p, g=ctx.g, values=np.zeros(ctx.p),
                         err_bound=0.0, precision_bits=53)
-        with pytest.raises(InvalidInput, match="int64"):
+        with pytest.raises(InvalidInput, match="int64 tensor block"):
             structure_constants_spectral_all(ctx, stub)
 
     def test_debug_mismatch_raises_runtime_error(self, monkeypatch):
-        # kept under python -O: a corrupted U makes the U D_1 U block disagree
+        # kept under python -O: one corrupted entry of the FFT block disagrees
         ctx = build_context(13)
         s = spectrum(ctx)
-        monkeypatch.setattr(fermat_mod, "bordered_unitary",
-                            lambda sp: bordered_unitary(sp)[::-1])
+        fft_block = fermat_mod._third_moment_block
+
+        def corrupted(sp):
+            block, residual = fft_block(sp)
+            block[3, 5] += 1
+            return block, residual
+
+        monkeypatch.setattr(fermat_mod, "_third_moment_block", corrupted)
         with pytest.raises(RuntimeError, match="mismatch"):
             structure_constants_spectral_all(ctx, s, debug=True)
 
@@ -311,15 +319,18 @@ class TestExactFallback:
 
     @pytest.mark.parametrize("bits", [53, 256])
     def test_tensor_falls_back_to_exact(self, no_spectrum, bits):
+        # the tensor is always the exact count; debug compares rounded
+        # entries, and at +0.15 every FFT entry still rounds to its count
         ctx = build_context(13)
         s = spectrum(ctx)
         bad = perturbed(s, bits)
         block = bordered_product_block(bad, 13)
         assert np.abs(block - np.rint(block)).max() > RESIDUAL_LIMIT
-        tensor = structure_constants_spectral_all(ctx, bad)
-        assert tensor.origin == "exact"
         expected = np.rint(bordered_product_block(s, 13)).astype(np.int64)
-        assert np.array_equal(tensor.base, expected)
+        for debug in (False, True):
+            tensor = structure_constants_spectral_all(ctx, bad, debug=debug)
+            assert tensor.origin == "exact"
+            assert np.array_equal(tensor.base, expected)
 
     @pytest.mark.parametrize("bits", [53, 256])
     def test_F_falls_back_to_exact(self, no_spectrum, bits):
@@ -340,11 +351,14 @@ class TestExactFallback:
         r = fermat_F_spectral(ctx, bad, 2, 3, 5)
         assert r.method == "exact"
         assert r.F == fermat_F_spectral(ctx, s, 2, 3, 5).F
-        with np.errstate(invalid="ignore"):
-            tensor = structure_constants_spectral_all(ctx, bad)
+        # the tensor ignores s unless debug is set, and debug rejects NaN
+        tensor = structure_constants_spectral_all(ctx, bad)
         assert tensor.origin == "exact"
         assert np.array_equal(tensor.base,
                               structure_constants_spectral_all(ctx, s).base)
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError,
+                                                          match="mismatch"):
+            structure_constants_spectral_all(ctx, bad, debug=True)
 
     def test_negative_tensor_entry_falls_back(self, no_spectrum, monkeypatch):
         ctx = build_context(13)
@@ -357,6 +371,8 @@ class TestExactFallback:
         tensor = structure_constants_spectral_all(ctx, s)
         assert tensor.origin == "exact"
         assert np.array_equal(tensor.base, clean.base)
+        with pytest.raises(RuntimeError, match="mismatch"):
+            structure_constants_spectral_all(ctx, s, debug=True)
 
     def test_debug_checks_the_spectrum_given(self):
         # U D_1 U is formed from the spectrum given: shifted by 0.2, the
@@ -380,12 +396,86 @@ class TestExactFallback:
             assert r.method == "spectral"
             assert fermat_mod._fermat_F_exact(ctx, a, b, c) == r.F
 
-    @pytest.mark.parametrize("p", [3, 13, 101, 1009])
+    @pytest.mark.parametrize("p", odd_primes_upto(199) + [1009, 2003])
     def test_exact_block_matches_fft(self, p):
         ctx = build_context(p)
-        tensor = structure_constants_spectral_all(ctx, spectrum(ctx))
-        assert tensor.origin == "spectral"
-        assert np.array_equal(fermat_mod._exact_block(ctx), tensor.base)
+        s = spectrum(ctx)
+        fft_block, residual = fermat_mod._third_moment_block(s)
+        assert residual < RESIDUAL_LIMIT
+        tensor = structure_constants_spectral_all(ctx, s)
+        assert tensor.origin == "exact"
+        assert np.array_equal(fermat_mod._exact_block(ctx), fft_block)
+        assert np.array_equal(tensor.base, fft_block)
+
+    @pytest.mark.parametrize("p", [65537, 100003])
+    def test_exact_F_past_int64_p4(self, p):
+        # p^4 >= 2^63 here; the reference divides the congruence by y^p and
+        # tests v in A as T[v mod p] == v, in Python ints
+        ctx = build_context(p)
+        p2 = p * p
+        T = pth_power_table(p).tolist()
+        rng = np.random.default_rng(p)
+        units = [int(u) for u in rng.integers(1, p2, size=8) if u % p][:3]
+        for a, b, c in [(1, 1, 1)] + list(zip(units[0::3], units[1::3], units[2::3])):
+            a2, b2 = (x * pow(c, -1, p2) % p2 for x in (a, b))
+            expected = sum(1 for u in T[1:]
+                           if (v := (a2 * u + b2) % p2) % p and T[v % p] == v)
+            assert fermat_mod._fermat_F_exact(ctx, a, b, c) == expected
+
+
+class TestExactBlock:
+    """The tensor's one route: p-2 permutation matrices from Fermat
+    quotients, in blocks of _ROW_BLOCK rows."""
+
+    @pytest.mark.parametrize("p", odd_primes_upto(31))
+    def test_equals_enumeration(self, p):
+        ctx = build_context(p)
+        block = structure_block_enumerated(ctx, p)[:, :p]
+        assert np.array_equal(fermat_mod._exact_block(ctx), block)
+
+    @pytest.mark.parametrize("p", [3, 61, 67])
+    def test_row_block_edges(self, p):
+        # 61 fills one block of 64 rows partly, 67 spills 3 rows into a second
+        assert fermat_mod._ROW_BLOCK == 64
+        ctx = build_context(p)
+        base = structure_constants_spectral_all(ctx, spectrum(ctx)).base
+        assert np.array_equal(base, structure_block_enumerated(ctx, p)[:, :p])
+        assert (base.sum(axis=0) == p - 2).all()
+
+    def test_uses_no_fft_and_no_labels(self, monkeypatch):
+        class Refuse:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.fft.{name} called")
+
+        def no_labels(*args):
+            raise AssertionError("residue labels built")
+
+        ctx = build_context(101)
+        s = spectrum(ctx)
+        expected = fermat_mod._third_moment_block(s)[0]
+        monkeypatch.setattr(fermat_mod.np, "fft", Refuse())
+        monkeypatch.setattr(spectra_mod, "_heilbronn_labels", no_labels)
+        monkeypatch.setattr(fermat_mod, "heilbronn_partition", no_labels)
+        tensor = structure_constants_spectral_all(ctx, s)
+        assert np.array_equal(tensor.base, expected)
+        with pytest.raises(AssertionError, match="np.fft"):
+            structure_constants_spectral_all(ctx, s, debug=True)
+
+    def test_shifted_spectrum_regression_p13(self):
+        # every H shifted by +0.3 rounds one FFT entry to a wrong integer
+        # with residual 0.23, which a rounding gate accepts: the tensor
+        # stays exact, and debug mode reports the wrong entry
+        ctx = build_context(13)
+        s = spectrum(ctx)
+        bad = dataclasses.replace(s, values=s.values + 0.3)
+        fft_block, residual = fermat_mod._third_moment_block(bad)
+        assert residual < RESIDUAL_LIMIT
+        expected = np.rint(bordered_product_block(s, 13)).astype(np.int64)
+        assert not np.array_equal(fft_block, expected)
+        assert np.array_equal(structure_constants_spectral_all(ctx, bad).base,
+                              expected)
+        with pytest.raises(RuntimeError, match="mismatch"):
+            structure_constants_spectral_all(ctx, bad, debug=True)
 
 
 class TestMoments:

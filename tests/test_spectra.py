@@ -8,7 +8,6 @@ import pytest
 
 from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto,
                                 pow_mod, primitive_roots_mod_p2)
-from heilbronn.fermat import bordered_unitary as fermat_bordered_unitary
 from heilbronn.sctheory import (SuperclassPartition, UnitAction, build_U,
                                 superclasses)
 from heilbronn.spectra import (_autocorrelation, bordered_unitary,
@@ -286,7 +285,6 @@ class TestHeilbronnTable:
         sigma_block = [[s.value_at(i + j) for j in range(1, p + 1)]
                        for i in range(1, p + 1)]
         assert np.array_equal(table.sigma[:p, :p], np.array(sigma_block))
-        assert fermat_bordered_unitary is bordered_unitary
 
     def test_unitary_p11(self):
         ctx = build_context(11)
