@@ -10,13 +10,13 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .fermat import (NAIVE_MAX_PRIME, FermatResult, ciik_report,
-                     fermat_count_naive_reduced, fermat_F_spectral,
+from .fermat import (NAIVE_MAX_PRIME, FermatResult, _third_moment_block,
+                     ciik_report, fermat_count_naive_reduced, fermat_F_spectral,
                      fermat_table, quartic_power_check, structure_block_enumerated,
                      structure_constants_spectral_all, third_moment_check)
 from .modarith import (InvalidInput, build_context, check_odd_prime,
                        log_level_sets, odd_primes_upto, primitive_roots_mod_p2,
-                       pth_power_table, truncated_log)
+                       truncated_log)
 from .spectra import (DEFAULT_PRECISION_BITS, heilbronn_table, spectrum,
                       verify_spectrum_identities)
 
@@ -118,8 +118,12 @@ def run_verify(p: int, depth: str = "quick") -> list[tuple[str, bool, str]]:
     checks.append(("unitary-symmetric-U", uni < 1e-8 and sym < 1e-10,
                    f"|UU*-I|={uni:.2e} |U-U^T|={sym:.2e}"))
 
-    tensor = structure_constants_spectral_all(ctx, s, debug=True)
+    tensor = structure_constants_spectral_all(ctx, s)
     base = tensor.base
+    fft_block, fft_residual = _third_moment_block(s)
+    checks.append(("third-moment-block", np.array_equal(fft_block, base),
+                   f"rounded FFT block equals the exact block, "
+                   f"residual {fft_residual:.2e}"))
     row_ok = all(int(base[j - 1].sum()) + tensor.c(p, j, p + 1)
                  + tensor.c(p, j, p + 2) == p - 1
                  for j in range(1, p + 1) if j != p)
@@ -137,11 +141,11 @@ def run_verify(p: int, depth: str = "quick") -> list[tuple[str, bool, str]]:
     checks.append(("third-moment", m3.passed, f"|lhs-rhs|={abs(m3.lhs - m3.rhs):.2e}"))
     checks.append(("fourth-moment", m4.passed, f"|lhs-rhs|={abs(m4.lhs - m4.rhs):.2e}"))
 
-    table = log_level_sets(p)
+    table = log_level_sets(ctx)
     sizes_ok = sum(len(v) for v in table.level_sets.values()) == p - 1
     checks.append(("truncated-log-level-sets", sizes_ok,
                    f"max |N_r| = {table.max_level_size}"))
-    T, p2, u = pth_power_table(p), p * p, np.arange(2, p)
+    T, p2, u = ctx.pth_powers, p * p, np.arange(2, p)
     lb1 = np.array_equal((1 - T[(1 - u) % p]) % p2,
                          (T[u] + p * truncated_log(p, u)) % p2)
     checks.append(("truncated-log-binomial", lb1, "Lemma-style binomial identity"))

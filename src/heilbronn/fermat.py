@@ -1,8 +1,10 @@
 """Fermat-congruence counting mod p^2: the spectral formula for F(p;a,b,c)
 with an exact O(p) fallback, brute-force oracles, the all-triples structure
-tensor counted exactly from Fermat quotients (O(p^2), no FFT, no rounding)
-and the paper's third-moment FFT block that debug mode checks it against,
-moment identities, and diagonal-coefficient bounds."""
+tensor counted exactly from Fermat quotients (O(p^2), no FFT, no rounding,
+its index rows advanced by addition) and the paper's third-moment FFT block
+that debug mode and verify check it against, moment identities, and
+diagonal-coefficient bounds.  Every p-th power is read from the context's
+table PrimeContext.pth_powers."""
 
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .modarith import (InvalidInput, PrimeContext, build_context, odd_primes_upto,
-                       pth_power_table)
+from .modarith import InvalidInput, PrimeContext, build_context, odd_primes_upto
 from .spectra import Spectrum, heilbronn_partition, spectrum
 
 # Residuals of this or more send F to its exact integer count; 0.5 is the
@@ -29,8 +30,10 @@ TENSOR_PRIME_CAP = 55_109  # the tensor refuses p from here on
 NAIVE_MAX_PRIME = 199
 
 # Rows of a tensor block built per batch, which bounds the temporaries to a
-# few (64, p) or (64, 2^ceil(log2(2p-1))) arrays.  All rows at once raised a
-# process's peak RSS at p = 1009 from 51 to 77 MB (FFT), 39 to 53 MB (exact).
+# few (64, p) or (64, 2^ceil(log2(2p-1))) arrays: the FFT block's rows, and
+# the exact block's index rows, advanced 64 rows at a time by addition.  All
+# rows at once raised a process's peak RSS at p = 1009 from 51 to 77 MB
+# (FFT), 39 to 53 MB (exact).
 _ROW_BLOCK = 64
 
 
@@ -101,7 +104,7 @@ def _quotient_lines(ctx: PrimeContext) -> tuple[np.ndarray, np.ndarray]:
     with r q(r) == (T[r] - r)/p.  O(p); all products are below p^2."""
     p = ctx.p
     r = np.arange(1, p)
-    rq = (pth_power_table(p)[1:] - r) // p  # r q(r) mod p, already in 0..p-1
+    rq = (ctx.pth_powers[1:] - r) // p  # r q(r) mod p, already in 0..p-1
     log = np.asarray(ctx.log_mod_p[1:])  # g^log[r-1] == r mod p
     inv = np.argsort(log)[-log[:-1] % (p - 1)] + 1  # (r-1)^-1 mod p, r = 2..p-1
     alpha = (rq[:-1] - rq[1:]) * inv % p * ctx.inv_quotient_g % p
@@ -126,7 +129,7 @@ def fermat_count_naive_reduced(ctx: PrimeContext, a: int, b: int, c: int) -> int
     p, p2 = ctx.p, ctx.modulus
     if p > NAIVE_MAX_PRIME:
         raise InvalidInput(f"naive count limited to p <= {NAIVE_MAX_PRIME}, got {p}")
-    A = pth_power_table(p)[1:].tolist()
+    A = ctx.pth_powers[1:].tolist()
     axp = [a * t % p2 for t in A]
     byp = [b * t % p2 for t in A]
     czp = [c * t % p2 for t in A]
@@ -148,7 +151,7 @@ def fermat_count_full_naive(ctx: PrimeContext, a: int, b: int, c: int) -> int:
     if p > 11:
         raise InvalidInput(f"full naive count limited to p <= 11, got {p}")
     units = [u for u in range(1, p2) if u % p != 0]
-    T = pth_power_table(p).tolist()  # x^p == T[x mod p] mod p^2
+    T = ctx.pth_powers.tolist()  # x^p == T[x mod p] mod p^2
     pair_counts = Counter((a * T[x % p] + b * T[y % p]) % p2
                           for x in units for y in units)
     return sum(pair_counts.get(c * T[z % p] % p2, 0) for z in units)
@@ -265,18 +268,32 @@ def _exact_block(ctx: PrimeContext) -> np.ndarray:
     """The p x p block c(p,j,k), summing the p-2 permutation matrices of
     _quotient_lines.  Row k' = k-1 counts the j' = j-1 they hit, which is
     column k of c = c^T (r -> 1-r transposes each matrix).  One np.bincount
-    per _ROW_BLOCK rows keeps each row's writes inside that row."""
+    per _ROW_BLOCK rows keeps each row's writes inside that row.
+
+    The index rows (k' beta + gamma) mod p + (k' - k0) p are built once, for
+    k0 = 0; each next block adds _ROW_BLOCK beta mod p and subtracts p where
+    an entry reached its row's limit, so no entry costs a multiply or a
+    division.  They are int32 (below 66p < 2^31) and cast for np.bincount,
+    which is slow on int32 input."""
     p = ctx.p
     alpha, beta = _quotient_lines(ctx)
     gamma = (alpha - 1 + beta) % p  # j' == gamma_r + beta_r k'
+    k = np.arange(min(_ROW_BLOCK, p))[:, None]
+    offset = k * p
+    idx = ((k * beta + gamma) % p + offset).astype(np.int32)
+    limit = (offset + p).astype(np.int32)
+    step = (_ROW_BLOCK * beta % p).astype(np.int32)
+    wrap = np.empty(idx.shape, dtype=bool)
+    shift = np.empty_like(idx)
     out = np.empty((p, p), dtype=np.int64)
     for k0 in range(0, p, _ROW_BLOCK):
-        k = np.arange(k0, min(k0 + _ROW_BLOCK, p))
-        idx = k[:, None] * beta + gamma
-        # idx mod p, offset to row k - k0; // by a scalar beats % twofold
-        idx -= (idx // p - (k - k0)[:, None]) * p
-        out[k0:k0 + len(k)] = np.bincount(
-            idx.ravel(), minlength=len(k) * p).reshape(len(k), p)
+        n = min(_ROW_BLOCK, p - k0)
+        out[k0:k0 + n] = np.bincount(idx[:n].ravel().astype(np.intp),
+                                     minlength=n * p).reshape(n, p)
+        idx += step
+        np.greater_equal(idx, limit, out=wrap)
+        np.multiply(wrap, np.int32(p), out=shift)
+        idx -= shift
     return out
 
 
@@ -318,7 +335,7 @@ def third_moment_check(ctx: PrimeContext, s: Spectrum,
     lhs = float((s.shifted(i) * s.shifted(j) * s.shifted(k)).sum())
     gi, gk = pow(ctx.g, i, p2), pow(ctx.g, k, p2)
     # Residues divisible by p lie outside X_1..X_p.
-    diffs = ((gk - t * gi) % p2 for t in pth_power_table(p)[1:].tolist())
+    diffs = ((gk - t * gi) % p2 for t in ctx.pth_powers[1:].tolist())
     c = sum(1 for v in diffs if v % p and ctx.class_index(v) == j)
     rhs = p * p * (c - 1) + 2 * p
     return MomentCheck(lhs=lhs, rhs=float(rhs), tolerance=tolerance)

@@ -1,10 +1,13 @@
-"""Exact modular arithmetic mod p and p**2: modexp, primitive roots,
-discrete logs from O(p) state (a log table mod p and the Fermat quotient),
-the one p-th-power table, and the truncated logarithm read from it."""
+"""Exact modular arithmetic mod p and p**2: modexp, primitive roots, and a
+per-prime context holding O(p) state from one walk over the powers of g:
+a log table mod p, the Fermat quotient of g, and the p-th-power table
+T[r] = r**p mod p**2 that every consumer reads.  The truncated logarithm
+is read from T; pth_power_table is its independent pow-loop reference."""
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +121,11 @@ class PrimeContext:
     CRT residues: e mod p-1 is the log of u mod p, read from log_mod_p, and
     e mod p is q(u) * q(g)**-1 with q the Fermat quotient.  log_mod_p[r] is
     the exponent in {0, ..., p-2} with g**e == r mod p (index 0 unused).
-    Immutable after construction.
+
+    pth_powers is the read-only int64 table T[r] = r**p mod p**2, 0 <= r < p:
+    T[0] = 0 and T[1:] lists the subgroup A of p-th powers.  It serves every
+    residue, as (r + kp)**p == r**p mod p**2.  It is derived from (p, g), so
+    equality ignores it.  Immutable after construction.
     """
 
     p: int
@@ -126,6 +133,7 @@ class PrimeContext:
     g: int
     log_mod_p: list[int] = field(repr=False)
     inv_quotient_g: int
+    pth_powers: np.ndarray = field(repr=False, compare=False)
 
     def dlog_of(self, u: int) -> int:
         """The exponent e in {1, ..., p(p-1)} with g**e == u mod p**2."""
@@ -148,30 +156,41 @@ class PrimeContext:
 def build_context(p: int, g: int | None = None) -> PrimeContext:
     """PrimeContext for p and g (default: primitive_root_mod_p2(p)); O(p)
     time and space.  Raises InvalidInput unless g has order p(p-1) mod p**2,
-    that is, unless g is a primitive root mod p with q(g) != 0."""
+    that is, unless g is a primitive root mod p with q(g) != 0.
+
+    One walk over e = 1..p-2 fills both tables: x = g**e mod p gives
+    log_mod_p[x] = e, and z = (g**p)**e mod p**2 gives T[x] = z, since
+    r == g**e (mod p) implies r**p == g**(ep) (mod p**2)."""
     check_odd_prime(p)
     if g is None:
         g = primitive_root_mod_p2(p)
+    p2 = p * p
     order = p * (p - 1)
     log_mod_p = [0] * p
-    h = g % p
-    x = 1
+    T = array("q", bytes(8 * p))  # int64 slots, no Python int kept per entry
+    T[1] = 1
+    h, gp = g % p, pow(g, p, p2)
+    x = z = 1
     for e in range(1, p - 1):
         x = x * h % p
+        z = z * gp % p2
         if x <= 1:  # 0 when p | g, 1 when g has order e < p-1 mod p
-            raise InvalidInput(f"g = {g} does not have order {order} mod {p * p}")
+            raise InvalidInput(f"g = {g} does not have order {order} mod {p2}")
         log_mod_p[x] = e
+        T[x] = z
     q = fermat_quotient(g, p)
     if q == 0:
-        raise InvalidInput(f"g = {g} does not have order {order} mod {p * p}")
-    return PrimeContext(p=p, modulus=p * p, g=g, log_mod_p=log_mod_p,
-                        inv_quotient_g=pow(q, -1, p))
+        raise InvalidInput(f"g = {g} does not have order {order} mod {p2}")
+    pth_powers = np.frombuffer(T, dtype=np.int64)
+    pth_powers.flags.writeable = False
+    return PrimeContext(p=p, modulus=p2, g=g, log_mod_p=log_mod_p,
+                        inv_quotient_g=pow(q, -1, p), pth_powers=pth_powers)
 
 
 def pth_power_table(p: int) -> np.ndarray:
-    """The int64 array T[m] = m**p mod p**2 for 0 <= m < p: T[0] = 0 and
-    T[1:] lists the subgroup A.  It serves every residue, as
-    (m + kp)**p == m**p mod p**2."""
+    """The int64 array T[m] = m**p mod p**2 for 0 <= m < p, by one pow per
+    entry: the reference only, which tests compare PrimeContext.pth_powers
+    against.  The library reads the context's table instead."""
     check_odd_prime(p)
     p2 = p * p
     return np.array([pow(m, p, p2) for m in range(p)], dtype=np.int64)
@@ -206,12 +225,12 @@ class TruncatedLogTable:
     max_level_size: int
 
 
-def log_level_sets(p: int) -> TruncatedLogTable:
+def log_level_sets(ctx: PrimeContext) -> TruncatedLogTable:
     """Tabulate L_p and its level sets N_r = {2 <= x <= p : L_p(x) == r}.
 
-    L_p is read from pth_power_table in O(p) by the binomial lemma
+    L_p is read from ctx.pth_powers in O(p) by the binomial lemma
     1 - (1-u)^p == u^p + p L_p(u) mod p^2."""
-    T = pth_power_table(p)
+    p, T = ctx.p, ctx.pth_powers
     u = np.arange(1, p)
     L = (1 - T[(1 - u) % p] - T[u]) % (p * p) // p
     values = dict(zip(range(1, p), L.tolist()))

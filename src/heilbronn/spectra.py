@@ -2,7 +2,7 @@
 a-priori error budget (an estimate, not a rigorous bound), the superclass
 partition X_1..X_{p+2}, the (p+2)x(p+2) supercharacter table, and the
 explicit bordered unitary matrix.  Every p-th power l^p mod p^2 is read
-from modarith.pth_power_table."""
+from the context's table PrimeContext.pth_powers."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modarith import InvalidInput, PrimeContext, fermat_quotient, pth_power_table
+from .modarith import InvalidInput, PrimeContext, fermat_quotient
 from .sctheory import SuperclassPartition, SupercharacterMatrices, build_U
 
 DEFAULT_PRECISION_BITS = 53
@@ -68,7 +68,7 @@ def heilbronn_sum(ctx: PrimeContext, a: int,
     """
     _check_precision(precision_bits)
     p = ctx.p
-    residues = _paired_residues(pth_power_table(p)[1:].tolist(), a, p)
+    residues = _paired_residues(ctx.pth_powers[1:].tolist(), a, p)
     return _cos_sum(residues, p * p, precision_bits), _err_bound(p, precision_bits)
 
 
@@ -127,11 +127,11 @@ def spectrum(ctx: PrimeContext,
     p, p2 = ctx.p, ctx.modulus
     if precision_bits <= DEFAULT_PRECISION_BITS:
         w = np.zeros(p, dtype=np.complex128)
-        w[1:] = np.exp((2j * np.pi / p2) * pth_power_table(p)[1:])
+        w[1:] = np.exp((2j * np.pi / p2) * ctx.pth_powers[1:])
         W = np.fft.fft(w).real
         values = W[np.arange(1, p + 1) * fermat_quotient(ctx.g, p) % p]
     else:
-        A = pth_power_table(p)[1:].tolist()
+        A = ctx.pth_powers[1:].tolist()
         values = np.array([_cos_sum(_paired_residues(A, pow(ctx.g, l, p2), p),
                                     p2, precision_bits)
                            for l in range(1, p + 1)])
@@ -179,7 +179,7 @@ def verify_spectrum_identities(s: Spectrum) -> SpectrumIdentityReport:
 
 def subgroup_pth_powers(ctx: PrimeContext) -> list[int]:
     """A = {1^p, ..., (p-1)^p} mod p^2; a subgroup of order p-1."""
-    return sorted(pth_power_table(ctx.p)[1:].tolist())
+    return sorted(ctx.pth_powers[1:].tolist())
 
 
 def _heilbronn_labels(ctx: PrimeContext) -> np.ndarray:
@@ -189,7 +189,7 @@ def _heilbronn_labels(ctx: PrimeContext) -> np.ndarray:
     p, p2 = ctx.p, ctx.modulus
     if p ** 4 > np.iinfo(np.int64).max:
         raise InvalidInput(f"p = {p} overflows the int64 products of the cosets g^i A")
-    A = pth_power_table(p)[1:]
+    A = ctx.pth_powers[1:]
     gi = np.array([pow(ctx.g, i, p2) for i in range(1, p + 1)], dtype=np.int64)
     labels = np.empty(p2, dtype=np.uint16)
     labels[gi[:, None] * A[None, :] % p2] = np.arange(1, p + 1)[:, None]

@@ -224,7 +224,7 @@ class TestAcceptance:
         bad = []
         for p in odd_primes_upto(199):
             p2 = p * p
-            table = log_level_sets(p)
+            table = log_level_sets(build_context(p))
             L = table.values
             for u in range(2, p):
                 lhs = (1 - pow_mod((1 - u) % p2, p, p2)) % p2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heilbronn.cli import (EXIT_DISAGREEMENT, EXIT_GOLDEN, EXIT_INVALID,
-                           EXIT_OK, main, run_verify)
+                           EXIT_INVARIANT, EXIT_OK, main, run_verify)
 from heilbronn.spectra import spectrum
 
 
@@ -166,6 +166,47 @@ class TestVerifyCommand:
         # the generic table is O(N*|A| + N^2); at Theta(p^3) this took ~36 s
         rows = run_verify(1009)
         assert [name for name, ok, _ in rows if not ok] == []
+
+    def test_third_moment_block_mismatch_is_a_failed_row(self, capsys,
+                                                         monkeypatch):
+        import heilbronn.cli as cli_mod
+
+        fft_block = cli_mod._third_moment_block
+
+        def corrupted(s):
+            block, residual = fft_block(s)
+            block[3, 5] += 1
+            return block, residual
+
+        monkeypatch.setattr(cli_mod, "_third_moment_block", corrupted)
+        code, out, err = run(capsys, "verify", "-p", "13")
+        assert code == EXIT_INVARIANT
+        assert "first failing invariant: third-moment-block" in err
+        assert "Traceback" not in err
+        row = next(line for line in out.splitlines()
+                   if line.startswith("third-moment-block"))
+        assert "FAIL" in row
+
+    def test_library_builds_no_pow_loop_table(self, monkeypatch):
+        # every consumer reads the context's table, so the pow loop can go
+        import sys
+
+        import heilbronn.fermat as fermat_mod
+        from heilbronn.modarith import build_context
+
+        def refuse(p):
+            raise AssertionError("pth_power_table called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("heilbronn") and hasattr(module, "pth_power_table"):
+                monkeypatch.setattr(module, "pth_power_table", refuse)
+        ctx = build_context(101)
+        s = spectrum(ctx)
+        assert spectrum(ctx, precision_bits=106).p == 101
+        tensor = fermat_mod.structure_constants_spectral_all(ctx, s)
+        assert (tensor.base.sum(axis=0) == 99).all()
+        assert fermat_mod._fermat_F_exact(ctx, 1, 1, 1) == tensor.c(101, 101, 101)
+        assert all(ok for _, ok, _ in run_verify(13))
 
     def test_run_verify_names(self):
         names = [name for name, _, _ in run_verify(7, "full")]

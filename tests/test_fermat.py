@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import heilbronn.fermat as fermat_mod
+import heilbronn.modarith as modarith_mod
 import heilbronn.spectra as spectra_mod
 from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto, pow_mod,
                                pth_power_table)
@@ -262,7 +263,7 @@ class TestSpectralTensor:
         def no_table(*args):
             raise AssertionError("pth_power_table called")
 
-        monkeypatch.setattr(fermat_mod, "pth_power_table", no_table)
+        monkeypatch.setattr(modarith_mod, "pth_power_table", no_table)
         assert np.array_equal(structure_block_enumerated(ctx, 8), block)
         assert np.array_equal(structure_block_enumerated(ctx, 0),
                               structure_block_enumerated(ctx, 7))
@@ -433,9 +434,11 @@ class TestExactBlock:
         block = structure_block_enumerated(ctx, p)[:, :p]
         assert np.array_equal(fermat_mod._exact_block(ctx), block)
 
-    @pytest.mark.parametrize("p", [3, 61, 67])
+    @pytest.mark.parametrize("p", [3, 61, 67, 127, 131])
     def test_row_block_edges(self, p):
-        # 61 fills one block of 64 rows partly, 67 spills 3 rows into a second
+        # 61 fills one block of 64 rows partly, 67 spills 3 rows into a
+        # second, 127 fills all but one row of it and 131 spills into a
+        # third; rows reach each next block by addition
         assert fermat_mod._ROW_BLOCK == 64
         ctx = build_context(p)
         base = structure_constants_spectral_all(ctx, spectrum(ctx)).base

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -166,6 +168,44 @@ class TestPthPowerTable:
             pth_power_table(p)
 
 
+class TestContextPthPowers:
+    """build_context's walk z = (g^p)^e mod p^2 against the pow loop."""
+
+    def test_matches_pow_loop_below_3000(self):
+        for p in odd_primes_upto(3000):
+            T = pth_power_table(p)
+            for g in primitive_roots_mod_p2(p, 2):
+                ctx = build_context(p, g=g)
+                assert ctx.pth_powers.dtype == np.int64
+                assert np.array_equal(ctx.pth_powers, T), (p, g)
+
+    @pytest.mark.parametrize("p", [65537, 100003])
+    def test_matches_pow_loop_large(self, p):
+        T = pth_power_table(p)
+        for g in primitive_roots_mod_p2(p, 2):
+            assert np.array_equal(build_context(p, g=g).pth_powers, T)
+
+    def test_read_only(self):
+        ctx = build_context(13)
+        with pytest.raises(ValueError):
+            ctx.pth_powers[2] = 0
+        assert ctx.pth_powers[2] == pow(2, 13, 169)
+
+    def test_contexts_from_same_root_compare_equal(self):
+        g = primitive_roots_mod_p2(101, 2)[1]
+        assert build_context(101, g=g) == build_context(101, g=g)
+        assert build_context(101) != build_context(101, g=g)
+
+    @pytest.mark.parametrize("p,g", [
+        (1009, pow(11, 1009, 1009 ** 2)),  # primitive root mod p, q(g) = 0
+        (1009, 4),                          # a square: order (p-1)/2 mod p
+        (1009, 1009 * 11),                  # divisible by p
+    ])
+    def test_bad_root_still_raises(self, p, g):
+        with pytest.raises(InvalidInput, match="does not have order"):
+            build_context(p, g=g)
+
+
 class TestTruncatedLog:
     def test_direct_sum_p5(self):
         # 1 + 1/2 + 1/3 + 1/4 = 1 + 3 + 2 + 4 = 10 = 0 mod 5
@@ -228,28 +268,27 @@ class TestTruncatedLogClosedForm:
 
 class TestLevelSets:
     def test_partition_p5(self):
-        table = log_level_sets(5)
+        table = log_level_sets(build_context(5))
         members = sorted(x for s in table.level_sets.values() for x in s)
         assert members == [2, 3, 4, 5]
 
     def test_sizes_sum_p31(self):
-        table = log_level_sets(31)
+        table = log_level_sets(build_context(31))
         assert sum(len(s) for s in table.level_sets.values()) == 30
 
     def test_bound_p101(self):
-        table = log_level_sets(101)
+        table = log_level_sets(build_context(101))
         assert table.max_level_size <= 44 * 101 ** (2 / 3)
 
     @pytest.mark.parametrize("p", odd_primes_upto(399))
     def test_lemma_values_match_horner(self, p):
-        values = log_level_sets(p).values
+        values = log_level_sets(build_context(p)).values
         assert sorted(values) == list(range(1, p))
         assert all(values[u] == truncated_log(p, u) for u in range(1, p))
 
-    def test_bound_violation_raises_runtime_error(self, monkeypatch):
+    def test_bound_violation_raises_runtime_error(self):
         # with L_p constant, one level set holds p-1 > 44 p^(2/3) points
-        import heilbronn.modarith as modarith_mod
-        monkeypatch.setattr(modarith_mod, "pth_power_table",
-                            lambda p: np.zeros(p, dtype=np.int64))
+        ctx = dataclasses.replace(build_context(100003),
+                                  pth_powers=np.zeros(100003, dtype=np.int64))
         with pytest.raises(RuntimeError, match="level-set bound"):
-            log_level_sets(100003)
+            log_level_sets(ctx)

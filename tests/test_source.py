@@ -35,3 +35,18 @@ def test_readme_exit_codes_match_cli():
     documented = sorted(int(m) for m in re.findall(r"^\| (\d+) \|", table, re.M))
     defined = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
     assert documented == defined
+
+
+def test_pow_loop_table_is_called_nowhere():
+    # pth_power_table is the tests' reference; the library reads
+    # PrimeContext.pth_powers, filled by build_context's walk
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "pth_power_table":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

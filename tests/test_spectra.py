@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import heilbronn.modarith as modarith_mod
 from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto,
                                 pow_mod, primitive_roots_mod_p2)
 from heilbronn.sctheory import (SuperclassPartition, UnitAction, build_U,
@@ -73,13 +75,12 @@ class TestHeilbronnSum:
         assert err106 < 1e-25
         assert abs(v53 - v106) < 1e-12
 
-    def test_unpaired_sines_raise(self, monkeypatch):
+    def test_unpaired_sines_raise(self):
         # an explicit check, kept under python -O
-        import heilbronn.spectra as spectra_mod
-        monkeypatch.setattr(spectra_mod, "pth_power_table",
-                            lambda p: np.array([0] + [1] * (p - 1), dtype=np.int64))
+        ctx = dataclasses.replace(build_context(13),
+                                  pth_powers=np.array([0] + [1] * 12, dtype=np.int64))
         with pytest.raises(RuntimeError, match="pair off"):
-            heilbronn_sum(build_context(13), 5)
+            heilbronn_sum(ctx, 5)
 
     def test_trivial_bound(self):
         ctx = build_context(31)
@@ -128,17 +129,16 @@ class TestSpectrum:
         assert np.abs(s.values - s53.values).max() < 1e-12
 
     def test_high_precision_builds_one_table(self, monkeypatch):
-        import heilbronn.spectra as spectra_mod
-
         ctx = build_context(13)
         direct = [heilbronn_sum(ctx, pow(ctx.g, l, ctx.modulus), 106)[0]
                   for l in range(1, 14)]
+        # the context's table serves all p sums; no pow-loop table is built
         calls = []
-        table = spectra_mod.pth_power_table
-        monkeypatch.setattr(spectra_mod, "pth_power_table",
+        table = modarith_mod.pth_power_table
+        monkeypatch.setattr(modarith_mod, "pth_power_table",
                             lambda p: calls.append(p) or table(p))
         s = spectrum(ctx, precision_bits=106)
-        assert calls == [13]
+        assert calls == []
         assert np.array_equal(s.values, direct)
 
     @pytest.mark.parametrize("bits", [52, 10, -3])
