@@ -17,14 +17,18 @@ from .fermat import (NAIVE_MAX_PRIME, FermatResult, _third_moment_block,
 from .modarith import (InvalidInput, build_context, check_odd_prime,
                        log_level_sets, odd_primes_upto, primitive_roots_mod_p2,
                        truncated_log)
-from .spectra import (DEFAULT_PRECISION_BITS, heilbronn_table, spectrum,
-                      verify_spectrum_identities)
+from .spectra import heilbronn_table, spectrum, verify_spectrum_identities
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 4
 EXIT_GOLDEN = 5
+
+# The quick suite holds about 190 bytes per residue of Z/p^2Z at its peak
+# (the partition's Python ints, build_U's phase table, the tensor): 759 MB
+# at p = 2003, so this cap keeps run_verify under 1 GB.
+VERIFY_MAX_PRIME = 2003
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -37,14 +41,13 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_spectrum(args) -> int:
     ctx = build_context(args.p)
-    s = spectrum(ctx, precision_bits=args.precision)
+    s = spectrum(ctx)
     if args.format == "csv":
         _emit(s.to_csv(), args.output)
     elif args.format == "json":
         _emit(s.to_json(), args.output)
     else:
-        lines = [f"p={s.p} g={s.g} precision_bits={s.precision_bits} "
-                 f"err_bound={s.err_bound:.3g}"]
+        lines = [f"p={s.p} g={s.g} err_bound={s.err_bound:.3g}"]
         lines += [f"  H_p(g^{m}) = {v:.12f}"
                   for m, v in enumerate(s.values, start=1)]
         _emit("\n".join(lines), args.output)
@@ -55,7 +58,7 @@ def cmd_fermat(args) -> int:
     ctx = build_context(args.p)
     results = []
     if args.method in ("spectral", "both"):
-        s = spectrum(ctx, precision_bits=args.precision)
+        s = spectrum(ctx)
         results.append(fermat_F_spectral(ctx, s, args.a, args.b, args.c))
     if args.method in ("naive", "both"):
         count = fermat_count_naive_reduced(ctx, args.a, args.b, args.c)
@@ -102,7 +105,13 @@ def cmd_table(args) -> int:
 
 
 def run_verify(p: int, depth: str = "quick") -> list[tuple[str, bool, str]]:
-    """Invariant suites for one prime; returns (name, passed, detail) rows."""
+    """Invariant suites for one prime; returns (name, passed, detail) rows.
+    Raises InvalidInput above NAIVE_MAX_PRIME for depth "full" and above
+    VERIFY_MAX_PRIME for "quick", before anything of size p^2 is built."""
+    check_odd_prime(p)
+    cap = NAIVE_MAX_PRIME if depth == "full" else VERIFY_MAX_PRIME
+    if p > cap:
+        raise InvalidInput(f"{depth} verification is capped at p <= {cap}")
     checks: list[tuple[str, bool, str]] = []
     ctx = build_context(p)
     s = spectrum(ctx)
@@ -171,11 +180,7 @@ def run_verify(p: int, depth: str = "quick") -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
-    check_odd_prime(args.p)
-    depth = "full" if args.full else "quick"
-    if depth == "full" and args.p > NAIVE_MAX_PRIME:
-        raise InvalidInput(f"--full verification is capped at p <= {NAIVE_MAX_PRIME}")
-    checks = run_verify(args.p, depth)
+    checks = run_verify(args.p, "full" if args.full else "quick")
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
@@ -229,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectrum", help="the vector (H_p(g^1),...,H_p(g^p))")
     sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
     _add_format_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -240,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("-c", type=int, default=1)
     fe.add_argument("--method", choices=["naive", "spectral", "both"],
                     default="spectral")
-    fe.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
     _add_format_flags(fe)
     fe.set_defaults(func=cmd_fermat)
 

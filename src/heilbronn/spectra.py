@@ -17,59 +17,33 @@ import numpy as np
 from .modarith import InvalidInput, PrimeContext, fermat_quotient
 from .sctheory import SuperclassPartition, SupercharacterMatrices, build_U
 
-DEFAULT_PRECISION_BITS = 53
+
+def _err_bound(p: int) -> float:
+    # Worst-case budget: each of the p-1 float64 cosines is accurate to
+    # 2^-(53 - ceil(4 log2 p)) after angle scaling by p^2 and the
+    # 2*pi*a*l^p reduction.
+    return (p - 1) * 2.0 ** (-(53 - math.ceil(4 * math.log2(p))))
 
 
-def _check_precision(precision_bits: int) -> None:
-    if precision_bits < DEFAULT_PRECISION_BITS:
-        raise InvalidInput(f"precision_bits must be >= {DEFAULT_PRECISION_BITS}")
-
-
-def _err_bound(p: int, precision_bits: int) -> float:
-    # Worst-case budget: each of the p-1 cosines is accurate to
-    # 2^-(precision_bits - ceil(4 log2 p)) after angle scaling by p^2
-    # and the 2*pi*a*l^p reduction.
-    return (p - 1) * 2.0 ** (-(precision_bits - math.ceil(4 * math.log2(p))))
-
-
-def _cos_sum(residues, p2: int, precision_bits: int) -> float:
-    if precision_bits <= DEFAULT_PRECISION_BITS:
-        r = np.asarray(residues, dtype=np.float64)
-        return float(np.cos((2.0 * np.pi / p2) * r).sum())
-    import mpmath
-
-    with mpmath.workprec(precision_bits + 10):
-        w = 2 * mpmath.pi / p2
-        return float(mpmath.fsum(mpmath.cos(w * r) for r in residues))
-
-
-def _paired_residues(A: list[int], a: int, p: int) -> list[int]:
-    """The residues a * l^p mod p^2 from A = [1^p, ..., (p-1)^p], checked
-    to cancel in pairs l, p - l; raises RuntimeError otherwise."""
-    p2 = p * p
-    a %= p2
-    # Python ints: a * l^p reaches p^4, past int64 for p >= 55,109.
-    residues = [a * lp % p2 for lp in A]
-    for l in range(1, (p + 1) // 2):
-        if (residues[l - 1] + residues[p - 1 - l]) % p2 != 0:
-            raise RuntimeError(f"sine terms fail to pair off at l = {l}, p = {p}")
-    return residues
-
-
-def heilbronn_sum(ctx: PrimeContext, a: int,
-                  precision_bits: int = DEFAULT_PRECISION_BITS) -> tuple[float, float]:
+def heilbronn_sum(ctx: PrimeContext, a: int) -> tuple[float, float]:
     """H_p(a) = sum over l = 1..p-1 of cos(2*pi*a*l^p / p^2).
 
     The residues a*l^p mod p^2 are computed exactly; only the final cosine
     is approximate.  Sines cancel structurally (l pairs with p-l), which is
-    checked on the residues rather than summed numerically.  Returns the
-    value and the error budget _err_bound(p, precision_bits), a worst-case
-    estimate of the cosine error, not a rigorous bound.
+    checked on the residues rather than summed numerically; RuntimeError if
+    they do not.  Returns the value and the error budget _err_bound(p), a
+    worst-case estimate of the cosine error, not a rigorous bound.
     """
-    _check_precision(precision_bits)
     p = ctx.p
-    residues = _paired_residues(ctx.pth_powers[1:].tolist(), a, p)
-    return _cos_sum(residues, p * p, precision_bits), _err_bound(p, precision_bits)
+    p2 = p * p
+    a %= p2
+    # Python ints: a * l^p reaches p^4, past int64 for p >= 55,109.
+    residues = [a * lp % p2 for lp in ctx.pth_powers[1:].tolist()]
+    for l in range(1, (p + 1) // 2):
+        if (residues[l - 1] + residues[p - 1 - l]) % p2 != 0:
+            raise RuntimeError(f"sine terms fail to pair off at l = {l}, p = {p}")
+    r = np.asarray(residues, dtype=np.float64)
+    return float(np.cos((2.0 * np.pi / p2) * r).sum()), _err_bound(p)
 
 
 @dataclass(frozen=True)
@@ -84,7 +58,6 @@ class Spectrum:
     g: int
     values: np.ndarray = field(repr=False)
     err_bound: float
-    precision_bits: int
 
     def value_at(self, k: int) -> float:
         return float(self.values[(k - 1) % self.p])
@@ -105,39 +78,26 @@ class Spectrum:
         return json.dumps({
             "p": self.p,
             "g": self.g,
-            "precision_bits": self.precision_bits,
             "err_bound": self.err_bound,
             "values": [float(v) for v in self.values],
         })
 
 
-def spectrum(ctx: PrimeContext,
-             precision_bits: int = DEFAULT_PRECISION_BITS) -> Spectrum:
-    """All p Heilbronn sums H_p(g^l), l = 1..p.
+def spectrum(ctx: PrimeContext) -> Spectrum:
+    """All p Heilbronn sums H_p(g^l), l = 1..p, in float64.
 
-    At 53 bits this is one length-p FFT, O(p log p): with w_m = e(m^p / p^2)
-    for 1 <= m < p, w_0 = 0 and W = fft(w), H_p(g^i) = Re W[i q(g) mod p],
-    q the Fermat quotient.  (Expand the indicator of the p-th powers over the
-    p characters trivial on them and evaluate their Gauss sums mod p^2;
-    Iwaniec & Kowalski, Analytic Number Theory, ch. 12.)  Higher precisions
-    sum each H_p(g^l) directly with mpmath, Theta(p^2) phase evaluations.
-    Raises InvalidInput below 53 bits.
+    One length-p FFT, O(p log p): with w_m = e(m^p / p^2) for 1 <= m < p,
+    w_0 = 0 and W = fft(w), H_p(g^i) = Re W[i q(g) mod p], q the Fermat
+    quotient.  (Expand the indicator of the p-th powers over the p
+    characters trivial on them and evaluate their Gauss sums mod p^2;
+    Iwaniec & Kowalski, Analytic Number Theory, ch. 12.)
     """
-    _check_precision(precision_bits)
     p, p2 = ctx.p, ctx.modulus
-    if precision_bits <= DEFAULT_PRECISION_BITS:
-        w = np.zeros(p, dtype=np.complex128)
-        w[1:] = np.exp((2j * np.pi / p2) * ctx.pth_powers[1:])
-        W = np.fft.fft(w).real
-        values = W[np.arange(1, p + 1) * fermat_quotient(ctx.g, p) % p]
-    else:
-        A = ctx.pth_powers[1:].tolist()
-        values = np.array([_cos_sum(_paired_residues(A, pow(ctx.g, l, p2), p),
-                                    p2, precision_bits)
-                           for l in range(1, p + 1)])
-    return Spectrum(p=p, g=ctx.g, values=values,
-                    err_bound=_err_bound(p, precision_bits),
-                    precision_bits=precision_bits)
+    w = np.zeros(p, dtype=np.complex128)
+    w[1:] = np.exp((2j * np.pi / p2) * ctx.pth_powers[1:])
+    W = np.fft.fft(w).real
+    values = W[np.arange(1, p + 1) * fermat_quotient(ctx.g, p) % p]
+    return Spectrum(p=p, g=ctx.g, values=values, err_bound=_err_bound(p))
 
 
 @dataclass(frozen=True)

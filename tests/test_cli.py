@@ -8,6 +8,7 @@ import pytest
 
 from heilbronn.cli import (EXIT_DISAGREEMENT, EXIT_GOLDEN, EXIT_INVALID,
                            EXIT_INVARIANT, EXIT_OK, main, run_verify)
+from heilbronn.modarith import InvalidInput
 from heilbronn.spectra import spectrum
 
 
@@ -49,18 +50,14 @@ class TestSpectrumCommand:
         assert d["values"][2] == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("command", ["spectrum", "fermat"])
-    def test_precision_below_53_bits_rejected(self, capsys, command):
-        code, out, err = run(capsys, command, "-p", "5", "--precision", "10")
-        assert code == EXIT_INVALID
-        assert out == ""
-        assert "precision_bits must be >= 53" in err
-
-    def test_precision_ignores_environment(self, capsys, monkeypatch):
-        # --precision is the one knob; no environment variable overrides it
-        monkeypatch.setenv("HEILBRONN_PRECISION_BITS", "106")
-        code, out, _ = run(capsys, "spectrum", "-p", "13", "--json")
-        assert code == EXIT_OK
-        assert json.loads(out)["precision_bits"] == 53
+    def test_precision_option_refused(self, capsys, command):
+        # the spectrum is float64 only; argparse refuses the old option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-p", "5", "--precision", "256"])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_INVALID
+        assert out.out == ""
+        assert "unrecognized arguments: --precision" in out.err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
@@ -78,15 +75,14 @@ class TestFermatCommand:
         assert d[0]["F"] == 2 and d[0]["solution_count"] == 4116
 
     def test_precision_failure_exit_code(self, capsys, monkeypatch):
-        # a 256-bit spectrum whose F residual is 0.42 fails the precision
-        # gate; the exact count answers, so the exit code is 0 and the JSON
-        # names the method
+        # a spectrum whose F residual is 0.42 fails the rounding gate; the
+        # exact count answers, so the exit code is 0 and the JSON names the
+        # method
         import heilbronn.cli as cli_mod
 
-        def perturbed_spectrum(ctx, precision_bits):
+        def perturbed_spectrum(ctx):
             s = spectrum(ctx)
-            return dataclasses.replace(s, values=s.values + 0.15,
-                                       precision_bits=256)
+            return dataclasses.replace(s, values=s.values + 0.15)
 
         monkeypatch.setattr(cli_mod, "spectrum", perturbed_spectrum)
         code, out, err = run(capsys, "fermat", "-p", "13", "--json")
@@ -162,6 +158,27 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "-p", "9")
         assert code == EXIT_INVALID
 
+    def test_quick_cap_refused_before_allocating(self, capsys, monkeypatch):
+        # p = 10007 would need several GB: refused before any p^2 structure
+        import heilbronn.cli as cli_mod
+        import heilbronn.spectra as spectra_mod
+
+        def refuse(*args):
+            raise AssertionError("p^2-sized structure built")
+
+        monkeypatch.setattr(spectra_mod, "heilbronn_partition", refuse)
+        monkeypatch.setattr(spectra_mod, "build_U", refuse)
+        assert cli_mod.VERIFY_MAX_PRIME < 10007
+        code, out, err = run(capsys, "verify", "-p", "10007")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert f"capped at p <= {cli_mod.VERIFY_MAX_PRIME}" in err
+        with pytest.raises(InvalidInput, match="quick verification"):
+            run_verify(10007)
+        code, _, err = run(capsys, "verify", "-p", "211", "--full")
+        assert code == EXIT_INVALID
+        assert "full verification is capped at p <= 199" in err
+
     def test_run_verify_p1009_passes(self):
         # the generic table is O(N*|A| + N^2); at Theta(p^3) this took ~36 s
         rows = run_verify(1009)
@@ -202,7 +219,6 @@ class TestVerifyCommand:
                 monkeypatch.setattr(module, "pth_power_table", refuse)
         ctx = build_context(101)
         s = spectrum(ctx)
-        assert spectrum(ctx, precision_bits=106).p == 101
         tensor = fermat_mod.structure_constants_spectral_all(ctx, s)
         assert (tensor.base.sum(axis=0) == 99).all()
         assert fermat_mod._fermat_F_exact(ctx, 1, 1, 1) == tensor.c(101, 101, 101)

@@ -146,10 +146,10 @@ def bordered_product_block(s, i):
     return (U @ np.diag(d) @ U)[:p, :p]
 
 
-def perturbed(s, bits):
-    """s with every H shifted by 0.15 and tagged with `bits`: at p = 13 the
-    rounding residuals of F and of the tensor block are then 0.42."""
-    return dataclasses.replace(s, values=s.values + 0.15, precision_bits=bits)
+def perturbed(s):
+    """s with every H shifted by 0.15: at p = 13 the rounding residuals of F
+    and of the tensor block are then 0.42."""
+    return dataclasses.replace(s, values=s.values + 0.15)
 
 
 class TestSpectralTensor:
@@ -190,7 +190,7 @@ class TestSpectralTensor:
         monkeypatch.setattr(fermat_mod, "_exact_block", no_block)
         ctx = build_context(100003)
         stub = Spectrum(p=ctx.p, g=ctx.g, values=np.zeros(ctx.p),
-                        err_bound=0.0, precision_bits=53)
+                        err_bound=0.0)
         with pytest.raises(InvalidInput, match="int64 tensor block"):
             structure_constants_spectral_all(ctx, stub)
 
@@ -318,13 +318,12 @@ class TestExactFallback:
 
         monkeypatch.setattr(fermat_mod, "spectrum", refuse)
 
-    @pytest.mark.parametrize("bits", [53, 256])
-    def test_tensor_falls_back_to_exact(self, no_spectrum, bits):
+    def test_tensor_falls_back_to_exact(self, no_spectrum):
         # the tensor is always the exact count; debug compares rounded
         # entries, and at +0.15 every FFT entry still rounds to its count
         ctx = build_context(13)
         s = spectrum(ctx)
-        bad = perturbed(s, bits)
+        bad = perturbed(s)
         block = bordered_product_block(bad, 13)
         assert np.abs(block - np.rint(block)).max() > RESIDUAL_LIMIT
         expected = np.rint(bordered_product_block(s, 13)).astype(np.int64)
@@ -333,10 +332,9 @@ class TestExactFallback:
             assert tensor.origin == "exact"
             assert np.array_equal(tensor.base, expected)
 
-    @pytest.mark.parametrize("bits", [53, 256])
-    def test_F_falls_back_to_exact(self, no_spectrum, bits):
+    def test_F_falls_back_to_exact(self, no_spectrum):
         ctx = build_context(13)
-        bad = perturbed(spectrum(ctx), bits)
+        bad = perturbed(spectrum(ctx))
         f_tilde = 1 - 2 / 13 + float((bad.values ** 3).sum()) / 13 ** 2
         assert abs(f_tilde - round(f_tilde)) > RESIDUAL_LIMIT
         r = fermat_F_spectral(ctx, bad, 1, 1, 1)

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import heilbronn
 from heilbronn import cli
 
 SOURCES = sorted(Path(heilbronn.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -30,7 +32,7 @@ def test_sources_found():
 
 def test_readme_exit_codes_match_cli():
     # the README's exit-code table lists exactly the EXIT_* codes of the CLI
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     table = readme.read_text().split("Exit codes:", 1)[1].split("\n## ", 1)[0]
     documented = sorted(int(m) for m in re.findall(r"^\| (\d+) \|", table, re.M))
     defined = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
@@ -50,3 +52,26 @@ def test_pow_loop_table_is_called_nowhere():
                 if name == "pth_power_table":
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_mpmath_import_in_library_code(path):
+    # the spectrum is float64 only; mpmath is the tests' 256-bit oracle
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"line {node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "mpmath" for a in node.names))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "mpmath")]
+    assert not found, f"{path.name}: mpmath imported at {found}"
+
+
+def test_mpmath_is_a_test_dependency_only():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(specs):
+        return [re.split(r"[<>=!~\[ ;]", spec, maxsplit=1)[0] for spec in specs]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    extras = project["optional-dependencies"]
+    assert [k for k, v in extras.items() if "mpmath" in names(v)] == ["test"]

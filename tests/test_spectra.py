@@ -4,10 +4,10 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-import heilbronn.modarith as modarith_mod
 from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto,
                                 pow_mod, primitive_roots_mod_p2)
 from heilbronn.sctheory import (SuperclassPartition, UnitAction, build_U,
@@ -27,6 +27,21 @@ def direct_sum(p, a):
     return sum(complex(math.cos(2 * math.pi * (a * l ** p % p ** 2) / p ** 2),
                        math.sin(2 * math.pi * (a * l ** p % p ** 2) / p ** 2))
                for l in range(1, p))
+
+
+def mp_heilbronn_sum(p, a):
+    """Reference oracle: H_p(a) summed at 256 bits with mpmath.fsum, each
+    residue a * l^p mod p^2 from Python's pow, not the context's table."""
+    p2 = p * p
+    with mpmath.workprec(256):
+        w = 2 * mpmath.pi / p2
+        return float(mpmath.fsum(mpmath.cos(w * (a * pow(l, p, p2) % p2))
+                                 for l in range(1, p)))
+
+
+def float64_tol(p):
+    """Round-off of a float64 sum of p - 1 unit-modulus terms."""
+    return 4 * p * math.log2(p) * np.finfo(np.float64).eps
 
 
 class TestHeilbronnSum:
@@ -68,12 +83,13 @@ class TestHeilbronnSum:
                 v2, e2 = heilbronn_sum(ctx, a2)
                 assert abs(v1 - v2) <= max(2 * max(e1, e2), 1e-9)
 
-    def test_extended_precision_agrees(self):
-        ctx = build_context(13)
-        v53, _ = heilbronn_sum(ctx, 5)
-        v106, err106 = heilbronn_sum(ctx, 5, precision_bits=106)
-        assert err106 < 1e-25
-        assert abs(v53 - v106) < 1e-12
+    @pytest.mark.parametrize("p", [7, 13, 101])
+    def test_matches_256_bit_oracle(self, p):
+        ctx = build_context(p)
+        for l in range(1, p + 1):
+            a = pow(ctx.g, l, ctx.modulus)
+            v, _ = heilbronn_sum(ctx, a)
+            assert abs(v - mp_heilbronn_sum(p, a)) <= float64_tol(p)
 
     def test_unpaired_sines_raise(self):
         # an explicit check, kept under python -O
@@ -100,7 +116,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("p", odd_primes_upto(101) + [46349])
     def test_fft_matches_direct_cosine_sum(self, p):
         # Both sides round a sum of p-1 unit-modulus terms in float64.
-        tol = 4 * p * math.log2(p) * np.finfo(np.float64).eps
+        tol = float64_tol(p)
         ctx = build_context(p)
         s = spectrum(ctx)
         # every exponent for small p; 8 of them at p = 46349, where p^2 > 2^31
@@ -118,37 +134,18 @@ class TestSpectrum:
         p = 65537
         ctx = build_context(p)
         s = spectrum(ctx)
-        tol = 4 * p * math.log2(p) * np.finfo(np.float64).eps
+        tol = float64_tol(p)
         for l in (1, 32768, p):
             direct, _ = heilbronn_sum(ctx, pow(ctx.g, l, ctx.modulus))
             assert abs(s.value_at(l) - direct) <= tol
 
-    def test_high_precision_path(self):
-        s = spectrum(build_context(7), precision_bits=106)
-        s53 = spectrum(build_context(7))
-        assert np.abs(s.values - s53.values).max() < 1e-12
-
-    def test_high_precision_builds_one_table(self, monkeypatch):
-        ctx = build_context(13)
-        direct = [heilbronn_sum(ctx, pow(ctx.g, l, ctx.modulus), 106)[0]
-                  for l in range(1, 14)]
-        # the context's table serves all p sums; no pow-loop table is built
-        calls = []
-        table = modarith_mod.pth_power_table
-        monkeypatch.setattr(modarith_mod, "pth_power_table",
-                            lambda p: calls.append(p) or table(p))
-        s = spectrum(ctx, precision_bits=106)
-        assert calls == []
-        assert np.array_equal(s.values, direct)
-
-    @pytest.mark.parametrize("bits", [52, 10, -3])
-    def test_rejects_precision_below_53_bits(self, bits):
-        # the same check as heilbronn_sum, not a 53-bit result relabelled
-        ctx = build_context(7)
-        with pytest.raises(InvalidInput, match="precision_bits"):
-            spectrum(ctx, precision_bits=bits)
-        with pytest.raises(InvalidInput, match="precision_bits"):
-            heilbronn_sum(ctx, 1, precision_bits=bits)
+    @pytest.mark.parametrize("p", [7, 13, 101])
+    def test_matches_256_bit_oracle(self, p):
+        ctx = build_context(p)
+        s = spectrum(ctx)
+        for l in range(1, p + 1):
+            exact = mp_heilbronn_sum(p, pow(ctx.g, l, ctx.modulus))
+            assert abs(s.value_at(l) - exact) <= float64_tol(p)
 
     def test_other_root_permutes_values(self):
         # a different primitive root reindexes the spectrum by a unit multiplier
@@ -174,7 +171,7 @@ class TestSpectrum:
         s = spectrum(build_context(5))
         d = json.loads(s.to_json())
         assert d["p"] == 5 and d["g"] == s.g
-        assert d["precision_bits"] == 53
+        assert set(d) == {"p", "g", "err_bound", "values"}
         assert d["values"] == [float(v) for v in s.values]
 
 
