@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -150,6 +151,22 @@ def perturbed(s):
     """s with every H shifted by 0.15: at p = 13 the rounding residuals of F
     and of the tensor block are then 0.42."""
     return dataclasses.replace(s, values=s.values + 0.15)
+
+
+def spectrum_at_bits(ctx, bits):
+    """The spectrum of ctx from the float64 FFT (bits = 53) or, for more
+    bits, from an mpmath.fsum at that precision rounded to float64, with
+    each residue g^k * l^p mod p^2 from Python's pow."""
+    s = spectrum(ctx)
+    if bits == 53:
+        return s
+    p, p2 = ctx.p, ctx.modulus
+    with mpmath.workprec(bits):
+        w = 2 * mpmath.pi / p2
+        values = [float(mpmath.fsum(
+            mpmath.cos(w * (pow(ctx.g, k, p2) * pow(l, p, p2) % p2))
+            for l in range(1, p))) for k in range(1, p + 1)]
+    return dataclasses.replace(s, values=np.array(values))
 
 
 class TestSpectralTensor:
@@ -318,11 +335,12 @@ class TestExactFallback:
 
         monkeypatch.setattr(fermat_mod, "spectrum", refuse)
 
-    def test_tensor_falls_back_to_exact(self, no_spectrum):
+    @pytest.mark.parametrize("bits", [53, 256])
+    def test_tensor_falls_back_to_exact(self, no_spectrum, bits):
         # the tensor is always the exact count; debug compares rounded
         # entries, and at +0.15 every FFT entry still rounds to its count
         ctx = build_context(13)
-        s = spectrum(ctx)
+        s = spectrum_at_bits(ctx, bits)
         bad = perturbed(s)
         block = bordered_product_block(bad, 13)
         assert np.abs(block - np.rint(block)).max() > RESIDUAL_LIMIT
@@ -332,9 +350,10 @@ class TestExactFallback:
             assert tensor.origin == "exact"
             assert np.array_equal(tensor.base, expected)
 
-    def test_F_falls_back_to_exact(self, no_spectrum):
+    @pytest.mark.parametrize("bits", [53, 256])
+    def test_F_falls_back_to_exact(self, no_spectrum, bits):
         ctx = build_context(13)
-        bad = perturbed(spectrum(ctx))
+        bad = perturbed(spectrum_at_bits(ctx, bits))
         f_tilde = 1 - 2 / 13 + float((bad.values ** 3).sum()) / 13 ** 2
         assert abs(f_tilde - round(f_tilde)) > RESIDUAL_LIMIT
         r = fermat_F_spectral(ctx, bad, 1, 1, 1)
