@@ -30,11 +30,13 @@ TENSOR_PRIME_CAP = 55_109  # the tensor refuses p from here on
 NAIVE_MAX_PRIME = 199
 
 # Rows of a tensor block built per batch, which bounds the temporaries to a
-# few (64, p) or (64, 2^ceil(log2(2p-1))) arrays: the FFT block's rows, and
-# the exact block's index rows, advanced 64 rows at a time by addition.  All
+# few (32, p) or (32, 2^ceil(log2(2p-1))) arrays: the FFT block's rows, and
+# the exact block's index rows, advanced 32 rows at a time by addition.  All
 # rows at once raised a process's peak RSS at p = 1009 from 51 to 77 MB
-# (FFT), 39 to 53 MB (exact).
-_ROW_BLOCK = 64
+# (FFT), 39 to 53 MB (exact).  The exact block, the tensor's hot path, took
+# about 3.0 ms at p = 1009 with 32-row batches and 3.5 ms with 64, on one
+# core of a shared 2-core Xeon VM.
+_ROW_BLOCK = 32
 
 
 class GoldenMismatch(RuntimeError):
@@ -191,7 +193,7 @@ class StructureTensorP:
     c(p, ., .) plus closed-form borders; shift invariance recovers the rest."""
 
     p: int
-    base: np.ndarray = field(repr=False)  # (p, p), base[j-1, k-1] = c(p, j, k)
+    base: np.ndarray = field(repr=False)  # (p, p) int32, base[j-1, k-1] = c(p, j, k)
     origin: str  # always "exact": base is an integer count, never rounded
 
     def c(self, i: int, j: int, k: int) -> int:
@@ -265,31 +267,47 @@ def _third_moment_block(s: Spectrum) -> tuple[np.ndarray, float]:
 
 
 def _exact_block(ctx: PrimeContext) -> np.ndarray:
-    """The p x p block c(p,j,k), summing the p-2 permutation matrices of
-    _quotient_lines.  Row k' = k-1 counts the j' = j-1 they hit, which is
-    column k of c = c^T (r -> 1-r transposes each matrix).  One np.bincount
-    per _ROW_BLOCK rows keeps each row's writes inside that row.
+    """The p x p block c(p,j,k) as int32 (no entry exceeds p-2), summing the
+    p-2 permutation matrices of _quotient_lines.  Row k' = k-1 counts the
+    j' = j-1 they hit, which is column k of c = c^T (r -> 1-r transposes
+    each matrix).
+
+    Only rows k' = 0..(p-3)/2 and k' = p-1 are counted, one np.bincount per
+    _ROW_BLOCK rows, which keeps each row's writes inside that row.  The
+    rest are mirrored: a x^p + b y^p == c z^p is symmetric in (a, b, c),
+    because -1 = (-1)^p is a p-th power, so c(p,j,k) = c(p,j-k,-k), and row
+    p-2-k' is row k' shifted left by k'+1.  Each counted batch is written
+    twice side by side into a buffer of rows of length 2p, whose windows of
+    length p give its mirrored rows in one strided copy.
 
     The index rows (k' beta + gamma) mod p + (k' - k0) p are built once, for
-    k0 = 0; each next block adds _ROW_BLOCK beta mod p and subtracts p where
+    k0 = 0; each next batch adds _ROW_BLOCK beta mod p and subtracts p where
     an entry reached its row's limit, so no entry costs a multiply or a
-    division.  They are int32 (below 66p < 2^31) and cast for np.bincount,
+    division.  They are int32 (below 34p < 2^31) and cast for np.bincount,
     which is slow on int32 input."""
     p = ctx.p
     alpha, beta = _quotient_lines(ctx)
     gamma = (alpha - 1 + beta) % p  # j' == gamma_r + beta_r k'
-    k = np.arange(min(_ROW_BLOCK, p))[:, None]
+    half = (p - 1) // 2  # counted rows besides k' = p-1
+    out = np.empty((p, p), dtype=np.int32)
+    out[p - 1] = np.bincount((gamma - beta) % p, minlength=p)
+    k = np.arange(min(_ROW_BLOCK, half))[:, None]
     offset = k * p
     idx = ((k * beta + gamma) % p + offset).astype(np.int32)
     limit = (offset + p).astype(np.int32)
     step = (_ROW_BLOCK * beta % p).astype(np.int32)
     wrap = np.empty(idx.shape, dtype=bool)
     shift = np.empty_like(idx)
-    out = np.empty((p, p), dtype=np.int64)
-    for k0 in range(0, p, _ROW_BLOCK):
-        n = min(_ROW_BLOCK, p - k0)
-        out[k0:k0 + n] = np.bincount(idx[:n].ravel().astype(np.intp),
-                                     minlength=n * p).reshape(n, p)
+    twice = np.empty((len(k), 2 * p), dtype=np.int32)
+    # window k0+1 + r(2p+1) is row r of the batch at k0, shifted by k0+r+1
+    windows = np.lib.stride_tricks.sliding_window_view(twice.ravel(), p)
+    for k0 in range(0, half, _ROW_BLOCK):
+        n = min(_ROW_BLOCK, half - k0)
+        twice[:n, :p] = np.bincount(idx[:n].ravel().astype(np.intp),
+                                    minlength=n * p).reshape(n, p)
+        twice[:n, p:] = twice[:n, :p]
+        out[k0:k0 + n] = twice[:n, :p]
+        out[p - 1 - k0 - n:p - 1 - k0] = windows[k0 + 1::2 * p + 1][n - 1::-1]
         idx += step
         np.greater_equal(idx, limit, out=wrap)
         np.multiply(wrap, np.int32(p), out=shift)
@@ -307,8 +325,8 @@ def structure_constants_spectral_all(ctx: PrimeContext, s: Spectrum,
     the exact block, or RuntimeError is raised."""
     p = ctx.p
     if p >= TENSOR_PRIME_CAP:
-        raise InvalidInput(f"p = {p}: the p x p int64 tensor block would take "
-                           f"{8e-9 * p * p:.0f} GB; it needs p < {TENSOR_PRIME_CAP}")
+        raise InvalidInput(f"p = {p}: the p x p int32 tensor block would take "
+                           f"{4e-9 * p * p:.0f} GB; it needs p < {TENSOR_PRIME_CAP}")
     base = _exact_block(ctx)
     if debug and not np.array_equal(_third_moment_block(s)[0], base):
         raise RuntimeError("third-moment identity mismatch")

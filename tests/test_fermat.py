@@ -147,6 +147,19 @@ def bordered_product_block(s, i):
     return (U @ np.diag(d) @ U)[:p, :p]
 
 
+def exact_block_all_rows(ctx):
+    """c(p, ., .) in int64 from one np.bincount over all p rows of indices
+    (k' beta + gamma) mod p + k' p, gamma = alpha - 1 + beta, from the lines
+    of _quotient_lines: the reference for _exact_block, which counts only
+    (p+1)/2 rows and mirrors the rest."""
+    p = ctx.p
+    alpha, beta = fermat_mod._quotient_lines(ctx)
+    gamma = (alpha - 1 + beta) % p
+    k = np.arange(p)[:, None]
+    idx = (k * beta + gamma) % p + k * p
+    return np.bincount(idx.ravel(), minlength=p * p).reshape(p, p)
+
+
 def perturbed(s):
     """s with every H shifted by 0.15: at p = 13 the rounding residuals of F
     and of the tensor block are then 0.42."""
@@ -199,7 +212,7 @@ class TestSpectralTensor:
                                   [tensor.c(k, j, 5) for j in range(1, 32)])
 
     def test_oversized_prime_refused_before_allocating(self, monkeypatch):
-        # p = 100,003 would need an 80 GB p x p int64 block
+        # p = 100,003 would need a 40 GB p x p int32 block
         def no_block(*args):
             raise AssertionError("p x p block allocated")
 
@@ -208,7 +221,7 @@ class TestSpectralTensor:
         ctx = build_context(100003)
         stub = Spectrum(p=ctx.p, g=ctx.g, values=np.zeros(ctx.p),
                         err_bound=0.0)
-        with pytest.raises(InvalidInput, match="int64 tensor block"):
+        with pytest.raises(InvalidInput, match="int32 tensor block would take 40 GB"):
             structure_constants_spectral_all(ctx, stub)
 
     def test_debug_mismatch_raises_runtime_error(self, monkeypatch):
@@ -443,24 +456,67 @@ class TestExactFallback:
 
 class TestExactBlock:
     """The tensor's one route: p-2 permutation matrices from Fermat
-    quotients, in blocks of _ROW_BLOCK rows."""
+    quotients, (p+1)/2 rows counted in batches of _ROW_BLOCK rows and the
+    rest mirrored by c(p,j,k) = c(p,j-k,-k)."""
 
     @pytest.mark.parametrize("p", odd_primes_upto(31))
     def test_equals_enumeration(self, p):
         ctx = build_context(p)
         block = structure_block_enumerated(ctx, p)[:, :p]
+        assert np.array_equal(exact_block_all_rows(ctx), block)
         assert np.array_equal(fermat_mod._exact_block(ctx), block)
 
-    @pytest.mark.parametrize("p", [3, 61, 67, 127, 131])
+    @pytest.mark.parametrize("p", odd_primes_upto(400) + [1009, 2003])
+    def test_equals_all_rows_reference(self, p):
+        ctx = build_context(p)
+        block = fermat_mod._exact_block(ctx)
+        assert block.dtype == np.int32
+        assert np.array_equal(block, exact_block_all_rows(ctx))
+
+    @pytest.mark.parametrize("p", odd_primes_upto(31))
+    def test_fermat_symmetry_on_enumeration(self, p):
+        """c(p,j,k) = c(p,j-k,-k), indices mod p with p read as 0, on the
+        exhaustive counts, so independently of both block builders.
+
+        c(p,j,k) counts x + y = z with x in A = X_p, y in X_j, z in X_k.
+        Since -1 = (-1)^p lies in A, z + (-y) = x has the same shape, and
+        scaling it by an element of X_{-k} moves z into A: the congruence
+        a x^p + b y^p == c z^p is symmetric in (a, b, c).  _exact_block
+        mirrors half its rows by this identity."""
+        ctx = build_context(p)
+        block = structure_block_enumerated(ctx, p)[:, :p]  # [j-1, k-1]
+        j = np.arange(1, p + 1)[:, None]
+        k = np.arange(1, p + 1)[None, :]
+        assert np.array_equal(block, block[(j - k - 1) % p, (-k - 1) % p])
+
+    @pytest.mark.parametrize("p", [3, 5, 61, 67, 127, 131, 193])
     def test_row_block_edges(self, p):
-        # 61 fills one block of 64 rows partly, 67 spills 3 rows into a
-        # second, 127 fills all but one row of it and 131 spills into a
-        # third; rows reach each next block by addition
-        assert fermat_mod._ROW_BLOCK == 64
+        # (p-1)/2 rows are counted in batches besides row p-1: 1 and 2 rows
+        # at p = 3 and 5; 61 fills one batch of 32 partly, 67 spills 1 row
+        # into a second, 127 fills all but one row of two, 131 spills into
+        # a third and 193 fills three exactly; rows reach each next batch
+        # by addition, and each batch mirrors its own rows
+        assert fermat_mod._ROW_BLOCK == 32
         ctx = build_context(p)
         base = structure_constants_spectral_all(ctx, spectrum(ctx)).base
         assert np.array_equal(base, structure_block_enumerated(ctx, p)[:, :p])
         assert (base.sum(axis=0) == p - 2).all()
+
+    def test_counts_half_the_rows(self, monkeypatch):
+        # rows 0..(p-3)/2 and p-1 are counted, p-2 lines each; the other
+        # (p-1)/2 rows are copies
+        p = 1009
+        ctx = build_context(p)
+        bincount = np.bincount
+        counted = []
+
+        def counting(x, *args, **kwargs):
+            counted.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(fermat_mod.np, "bincount", counting)
+        fermat_mod._exact_block(ctx)
+        assert 0 < sum(counted) <= (p + 1) // 2 * (p - 2)
 
     def test_uses_no_fft_and_no_labels(self, monkeypatch):
         class Refuse:

@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 
+import argparse
 import ast
 import re
 import tomllib
@@ -37,6 +38,24 @@ def test_readme_exit_codes_match_cli():
     documented = sorted(int(m) for m in re.findall(r"^\| (\d+) \|", table, re.M))
     defined = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
     assert documented == defined
+
+
+def test_readme_format_flags_match_cli():
+    # the README's sentence on --csv/--json names exactly the subcommands
+    # whose parsers define both flags
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI", 1)[1].split("\n## ", 1)[0]
+    sentence = next(s for s in re.split(r"(?<=\.)\s+", section)
+                    if "`--csv`/`--json`" in s)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    with_flags = {name for name, sub in subparsers.items()
+                  if {"--csv", "--json"} <= set(sub._option_string_actions)}
+    if re.search(r"\ball subcommands\b", sentence, re.I):
+        named = set(subparsers)
+    else:
+        named = set(re.findall(r"`(\w+)`", sentence)) & set(subparsers)
+    assert named == with_flags
 
 
 def test_pow_loop_table_is_called_nowhere():
