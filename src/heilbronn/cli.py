@@ -25,9 +25,8 @@ EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 4
 EXIT_GOLDEN = 5
 
-# The quick suite holds about 190 bytes per residue of Z/p^2Z at its peak
-# (the partition's Python ints, build_U's phase table, the tensor): 759 MB
-# at p = 2003, so this cap keeps run_verify under 1 GB.
+# The quick suite peaks at about 115 bytes per residue of Z/p^2Z (build_U's
+# phase table, its complex sigma and U): 438 MB at p = 2003, under 1 GB.
 VERIFY_MAX_PRIME = 2003
 
 

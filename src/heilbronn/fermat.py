@@ -162,19 +162,20 @@ def fermat_count_full_naive(ctx: PrimeContext, a: int, b: int, c: int) -> int:
 def structure_block_enumerated(ctx: PrimeContext, i: int) -> np.ndarray:
     """c(i,j,k) for fixed i >= 0 (read mod p), all 1 <= j <= p and
     1 <= k <= p+2, by exhaustive enumeration of (x, y) in X_i x X_j per j,
-    with the classes and labels of heilbronn_partition.  Exact integers,
+    with heilbronn_partition read as Python ints.  Exact integers,
     Theta(p^3)."""
     if i < 0:
         raise InvalidInput(f"class index must be nonnegative, got {i}")
     p, p2 = ctx.p, ctx.modulus
     part = heilbronn_partition(ctx)
-    cls = part.class_of
-    lhs = part.classes[(i - 1) % p]
+    cls = part.labels.tolist()
+    lhs = part.members((i - 1) % p + 1).tolist()
     out = np.zeros((p, p + 2), dtype=np.int64)
     for j in range(1, p + 1):
         row = out[j - 1]
+        rhs = part.members(j).tolist()
         for u in lhs:
-            for v in part.classes[j - 1]:
+            for v in rhs:
                 row[cls[(u + v) % p2] - 1] += 1
         # counts per class k still carry the p-1 representatives of X_k
         for k in range(p + 1):

@@ -43,26 +43,52 @@ class UnitAction:
         return sorted(elems)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperclassPartition:
-    """Orbits X_1..X_N of A on Z/nZ, with sizes and a residue -> class map.
+    """Orbits X_1..X_N of A on Z/nZ as one read-only integer array, with
+    labels[x] = i for x in X_i (1-based).  One stable argsort of the labels,
+    taken at construction, lists each class in increasing order; members(i)
+    is a view into it.  InvalidInput unless the labels are 1-D integers
+    using exactly 1..N and n^2 fits the consumers' int64 products."""
 
-    Class indices are 1-based throughout, matching the usual labeling.
-    """
+    labels: np.ndarray = field(repr=False)
+    _order: np.ndarray = field(init=False, repr=False)   # int64 residues by label
+    _starts: np.ndarray = field(init=False, repr=False)  # offsets of X_1..X_N in _order
 
-    n: int
-    classes: tuple[tuple[int, ...], ...]
-    class_of: list[int] = field(repr=False)
+    def __post_init__(self):
+        labels = np.asarray(self.labels).view()
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise InvalidInput("labels must be a 1-D integer array")
+        n = len(labels)
+        if n * n > np.iinfo(np.int64).max:
+            raise InvalidInput(f"n = {n} overflows the int64 products r_i * r_j")
+        order = np.argsort(labels, kind="stable").astype(np.int64, copy=False)
+        ordered = labels[order]
+        bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        if n == 0 or ordered[0] != 1 or ordered[-1] != len(bounds) + 1:
+            raise InvalidInput("labels must use exactly the values 1..N")
+        starts = np.concatenate(([0], bounds, [n]))
+        for a in (labels, order, starts):
+            a.flags.writeable = False
+        vars(self).update(labels=labels, _order=order, _starts=starts)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return len(self._starts) - 1
 
     def size(self, i: int) -> int:
-        return len(self.classes[i - 1])
+        return int(self._starts[i] - self._starts[i - 1])
 
     def representative(self, i: int) -> int:
-        return self.classes[i - 1][0]
+        return int(self._order[self._starts[i - 1]])
+
+    def members(self, i: int) -> np.ndarray:
+        """X_i in increasing order, a read-only int64 view."""
+        return self._order[self._starts[i - 1]:self._starts[i]]
 
 
 def superclasses(action: UnitAction) -> SuperclassPartition:
@@ -74,20 +100,15 @@ def superclasses(action: UnitAction) -> SuperclassPartition:
     `spectra.heilbronn_partition`.
     """
     n = action.n
-    subgroup = action.subgroup()
-    class_of = [0] * n
-    classes: list[tuple[int, ...]] = []
+    subgroup = np.array(action.subgroup(), dtype=np.int64)
+    labels = np.zeros(n, dtype=np.int64)
+    N = 0
     for x in range(1, n):
-        if class_of[x]:
-            continue
-        orbit = sorted({x * a % n for a in subgroup})
-        classes.append(tuple(orbit))
-        idx = len(classes)
-        for y in orbit:
-            class_of[y] = idx
-    classes.append((0,))
-    class_of[0] = len(classes)
-    return SuperclassPartition(n=n, classes=tuple(classes), class_of=class_of)
+        if not labels[x]:
+            N += 1
+            labels[x * subgroup % n] = N
+    labels[0] = N + 1
+    return SuperclassPartition(labels)
 
 
 def supercharacter_value(partition: SuperclassPartition, i: int, j: int,
@@ -97,9 +118,9 @@ def supercharacter_value(partition: SuperclassPartition, i: int, j: int,
     if not (1 <= i <= N and 1 <= j <= N):
         raise IndexError(f"class index out of range: ({i},{j}) with N={N}")
     n = partition.n
-    xs = np.array(partition.classes[i - 1])
-    reps = partition.classes[j - 1] if debug else partition.classes[j - 1][:1]
-    vals = [np.exp(2j * np.pi * ((xs * y) % n) / n).sum() for y in reps]
+    xs = partition.members(i)
+    reps = partition.members(j) if debug else partition.members(j)[:1]
+    vals = [np.exp(2j * np.pi * ((xs * y) % n) / n).sum() for y in reps.tolist()]
     if debug:
         spread = max(abs(v - vals[0]) for v in vals)
         if not spread < 1e-9 * len(xs):
@@ -159,29 +180,26 @@ def build_U(partition: SuperclassPartition) -> SupercharacterMatrices:
     the label of r_i * r_j mod n: O(N*|A| + N^2) time after the O(n) table.
     Raises InvalidInput if A is not a subgroup or the products do not cover
     each class in that way, so a partition that is not made of A-orbits
-    fails instead of giving a wrong sigma, and if n^2 overflows the int64
-    products.
+    fails instead of giving a wrong sigma.
     """
     N = partition.num_classes
     n = partition.n
-    if n * n > np.iinfo(np.int64).max:
-        raise InvalidInput(f"n = {n} overflows the int64 products r_i * r_j")
-    labels = np.asarray(partition.class_of, dtype=np.intp) - 1
-    A = np.array(partition.classes[labels[1]], dtype=np.int64)
-    reps = np.array([c[0] for c in partition.classes], dtype=np.int64)
-    sizes = np.array([len(c) for c in partition.classes])
+    labels = partition.labels
+    A = partition.members(labels[1])
+    reps = partition._order[partition._starts[:-1]]
+    sizes = np.diff(partition._starts)
     if not _is_unit_subgroup(A, labels == labels[1], n):
         raise InvalidInput("the classes are not orbits: the class of 1 is "
                            "not a subgroup of the units")
     products = reps[:, None] * A[None, :] % n
-    hits = np.bincount(products.ravel(), minlength=n)
-    if not (np.all(labels[products] == np.arange(N)[:, None])
-            and np.all(hits * sizes[labels] == len(A))):
+    if not (np.all(labels[products] == np.arange(1, N + 1)[:, None])
+            and np.all(np.bincount(products.ravel(), minlength=n)
+                       * sizes[labels - 1] == len(A))):
         raise InvalidInput("the classes are not orbits of the class of 1: "
                            "some r_k * A does not cover X_k evenly")
     phase = np.exp(2j * np.pi * np.arange(n) / n)
     eta = phase[products].sum(axis=1)
-    sigma = (sizes / len(A))[:, None] * eta[labels[reps[:, None] * reps[None, :] % n]]
+    sigma = (sizes / len(A))[:, None] * eta[labels[reps[:, None] * reps[None, :] % n] - 1]
     root = np.sqrt(sizes)
     U = sigma * root[None, :] / (np.sqrt(n) * root[:, None])
     return SupercharacterMatrices(partition=partition, sigma=sigma, U=U)
@@ -206,12 +224,11 @@ def structure_constants_enumerated(partition: SuperclassPartition,
     """Count pairs (x,y) in X_i x X_j with x + y == z mod n, z the minimal
     representative of X_k.  Debug mode re-counts with a second representative."""
     n = partition.n
-    reps = partition.classes[k - 1]
-    class_of = partition.class_of
+    reps = partition.members(k)
 
     def count(z: int) -> int:
-        return sum(1 for x in partition.classes[i - 1]
-                   if class_of[(z - x) % n] == j)
+        xs = partition.members(i)
+        return int(np.count_nonzero(partition.labels[(z - xs) % n] == j))
 
     c = count(reps[0])
     if debug and len(reps) > 1 and count(reps[1]) != c:
@@ -224,19 +241,18 @@ def structure_tensor_enumerated(partition: SuperclassPartition) -> StructureTens
     """Full tensor by exhaustive counting, O(N * n) per representative choice."""
     n = partition.n
     N = partition.num_classes
-    class_of = partition.class_of
+    labels = partition.labels.astype(np.int64) - 1
+    x = np.arange(n)
     c = np.zeros((N, N, N), dtype=np.int64)
     for k in range(1, N + 1):
         z = partition.representative(k)
-        for x in range(n):
-            c[class_of[x] - 1, class_of[(z - x) % n] - 1, k - 1] += 1
+        pairs = labels * N + labels[(z - x) % n]
+        c[:, :, k - 1] = np.bincount(pairs, minlength=N * N).reshape(N, N)
     return StructureTensor(N=N, c=c, origin="enumeration")
 
 
 def build_T(partition: SuperclassPartition, tensor: StructureTensor,
             i: int) -> np.ndarray:
     """[T_i]_{j,k} = c(i,j,k) * sqrt(|X_k|) / sqrt(|X_j|)."""
-    N = partition.num_classes
-    sizes = np.array([partition.size(m) for m in range(1, N + 1)], dtype=float)
-    return tensor.c[i - 1] * np.sqrt(sizes)[None, :] / np.sqrt(sizes)[:, None]
-
+    root = np.sqrt(np.diff(partition._starts))
+    return tensor.c[i - 1] * root[None, :] / root[:, None]

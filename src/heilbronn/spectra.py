@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modarith import InvalidInput, PrimeContext, fermat_quotient
-from .sctheory import SuperclassPartition, SupercharacterMatrices, build_U
+from .sctheory import SuperclassPartition, build_U
+
+# Largest |sigma_generic - sigma_pattern| heilbronn_table accepts, absolute:
+# |sigma| <= p - 1, and the mismatch measured at every p <= 2003 is <= 3.7e-13.
+TABLE_TOL = 1e-8
 
 
 def _err_bound(p: int) -> float:
@@ -142,10 +146,11 @@ def subgroup_pth_powers(ctx: PrimeContext) -> list[int]:
     return sorted(ctx.pth_powers[1:].tolist())
 
 
-def _heilbronn_labels(ctx: PrimeContext) -> np.ndarray:
-    """The uint16 array label[r] = i for r in X_i, r in Z/p^2Z: X_i = g^i A
-    for i = 1..p, X_{p+1} the nonzero multiples of p, X_{p+2} = {0}.  One
-    scatter of the (p, p-1) int64 cosets; p < 55,109 keeps p + 2 < 2^16."""
+def heilbronn_partition(ctx: PrimeContext) -> SuperclassPartition:
+    """Orbits of A on Z/p^2Z as the uint16 labels label[r] = i for r in X_i:
+    X_i = g^i A for i = 1..p, X_{p+1} the nonzero multiples of p,
+    X_{p+2} = {0}.  One scatter of the (p, p-1) int64 cosets; p < 55,109
+    keeps p + 2 < 2^16."""
     p, p2 = ctx.p, ctx.modulus
     if p ** 4 > np.iinfo(np.int64).max:
         raise InvalidInput(f"p = {p} overflows the int64 products of the cosets g^i A")
@@ -155,17 +160,7 @@ def _heilbronn_labels(ctx: PrimeContext) -> np.ndarray:
     labels[gi[:, None] * A[None, :] % p2] = np.arange(1, p + 1)[:, None]
     labels[p::p] = p + 1
     labels[0] = p + 2
-    return labels
-
-
-def heilbronn_partition(ctx: PrimeContext) -> SuperclassPartition:
-    """Orbits of A on Z/p^2Z labeled as in _heilbronn_labels (so p < 55,109);
-    one stable radix argsort of the labels lists each class in order."""
-    p, p2 = ctx.p, ctx.modulus
-    labels = _heilbronn_labels(ctx)
-    cosets = np.argsort(labels, kind="stable")[:p * (p - 1)].reshape(p, p - 1)
-    classes = tuple(map(tuple, cosets.tolist())) + (tuple(range(p, p2, p)), (0,))
-    return SuperclassPartition(n=p2, classes=classes, class_of=labels.tolist())
+    return SuperclassPartition(labels)
 
 
 @dataclass(frozen=True)
@@ -178,49 +173,38 @@ class HeilbronnTable:
     U: np.ndarray
 
 
-def _heilbronn_sigma(s: Spectrum) -> np.ndarray:
+def _sigma_and_unitary(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """The (p+2) x (p+2) table sigma: [H_p(g^(i+j))]_{i,j = 1..p}, cyclic in
-    i + j, bordered by -1, p-1 and the all-ones row."""
+    i + j, bordered by -1, p-1 and the all-ones row; and the unitary U, sigma
+    scaled by 1/p with sqrt(p-1) / p in the last row and column but their
+    corner 1/p."""
     p = s.p
     idx = np.arange(p)
     sigma = np.full((p + 2, p + 2), p - 1.0)
     sigma[:p, :p] = s.values[(idx[:, None] + idx[None, :] + 1) % p]
     sigma[:p, p] = sigma[p, :p] = -1.0
     sigma[p + 1] = 1.0
-    return sigma
+    U = sigma / p
+    U[:p + 1, p + 1] = U[p + 1, :p + 1] = math.sqrt(p - 1) / p
+    return sigma, U
 
 
 def bordered_unitary(s: Spectrum) -> np.ndarray:
-    """The explicit (p+2) x (p+2) unitary: sigma scaled by 1/p, with
-    sqrt(p-1) / p in the last row and column but their corner 1/p."""
-    p = s.p
-    U = _heilbronn_sigma(s) / p
-    U[:p + 1, p + 1] = U[p + 1, :p + 1] = math.sqrt(p - 1) / p
-    return U
+    """The explicit (p+2) x (p+2) unitary of heilbronn_table."""
+    return _sigma_and_unitary(s)[1]
 
 
-def heilbronn_table(ctx: PrimeContext, s: Spectrum,
-                    generic: SupercharacterMatrices | None = None,
-                    tol: float = 1e-8) -> HeilbronnTable:
-    """Assemble sigma and U from the spectrum by the known block pattern.
-
-    sigma[i,j] = H_p(g^(i+j)) on the p x p block, bordered by -1, p-1 and
-    the all-ones row; U is bordered_unitary(s), (1/p) times the same block
-    bordered by -1 and sqrt(p-1) entries.  If `generic` is supplied it is
-    used for the cross-validation; otherwise the generic engine is run on
-    the partition.
-    """
-    p = ctx.p
-    sigma = _heilbronn_sigma(s)
-    U = bordered_unitary(s)
-
+def heilbronn_table(ctx: PrimeContext, s: Spectrum) -> HeilbronnTable:
+    """Assemble sigma and U from the spectrum by the known block pattern
+    (sigma[i,j] = H_p(g^(i+j)) on the p x p block, U its bordered scaling),
+    and check sigma against build_U on heilbronn_partition to TABLE_TOL."""
+    sigma, U = _sigma_and_unitary(s)
     partition = heilbronn_partition(ctx)
-    if generic is None:
-        generic = build_U(partition)
-    if np.abs(generic.sigma.imag).max() > 1e-10:
+    generic = build_U(partition).sigma
+    if np.abs(generic.imag).max() > 1e-10:
         raise InvalidInput("generic sigma has nonreal entries for Heilbronn action")
-    mismatch = np.abs(generic.sigma.real - sigma).max()
-    if mismatch > max(tol, 10 * p * s.err_bound):
+    mismatch = np.abs(generic.real - sigma).max()
+    if mismatch > TABLE_TOL:
         raise InvalidInput(
             f"table pattern disagrees with generic engine by {mismatch:.3g}; "
             "class labeling is inconsistent")

@@ -122,10 +122,10 @@ class TestAcceptance:
                 if len(vals) != 1:
                     bad.append((p, "perm", i, j, k))
             # representative independence, every representative of every class
-            cls = np.array(part.class_of)
+            cls = part.labels.astype(np.int64)
             xs = np.arange(n)
             for k in range(1, N + 1):
-                for z in part.classes[k - 1]:
+                for z in part.members(k):
                     counts = np.zeros((N, N), dtype=np.int64)
                     np.add.at(counts, (cls[xs] - 1, cls[(z - xs) % n] - 1), 1)
                     if not np.array_equal(counts, c[:, :, k - 1]):

@@ -530,7 +530,7 @@ class TestExactBlock:
         s = spectrum(ctx)
         expected = fermat_mod._third_moment_block(s)[0]
         monkeypatch.setattr(fermat_mod.np, "fft", Refuse())
-        monkeypatch.setattr(spectra_mod, "_heilbronn_labels", no_labels)
+        monkeypatch.setattr(spectra_mod, "heilbronn_partition", no_labels)
         monkeypatch.setattr(fermat_mod, "heilbronn_partition", no_labels)
         tensor = structure_constants_spectral_all(ctx, s)
         assert np.array_equal(tensor.base, expected)

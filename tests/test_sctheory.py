@@ -16,6 +16,20 @@ def heilbronn_partition_for(p):
     return heilbronn_partition(build_context(p))
 
 
+def classes_of(part):
+    """The classes X_1..X_N as tuples of residues."""
+    return [tuple(part.members(i).tolist())
+            for i in range(1, part.num_classes + 1)]
+
+
+def partition_of(n, classes):
+    """The partition with X_i = classes[i-1], from its label array."""
+    labels = np.zeros(n, dtype=np.int64)
+    for i, c in enumerate(classes, start=1):
+        labels[list(c)] = i
+    return SuperclassPartition(labels)
+
+
 def ramanujan_sum(n, x):
     """Classical Ramanujan sum c_n(x) by direct summation over units mod n."""
     return sum(np.exp(2j * np.pi * j * x / n)
@@ -41,25 +55,25 @@ ORACLE_PARTITIONS = {
 class TestSuperclasses:
     def test_mod9_pth_power_action(self):
         part = superclasses(UnitAction(9, (8,)))
-        assert set(part.classes) == {(1, 8), (2, 7), (4, 5), (3, 6), (0,)}
+        assert set(classes_of(part)) == {(1, 8), (2, 7), (4, 5), (3, 6), (0,)}
 
     def test_trivial_action_gives_singletons(self):
         part = superclasses(UnitAction(7, (1,)))
-        assert all(len(c) == 1 for c in part.classes)
+        assert all(len(c) == 1 for c in classes_of(part))
         assert part.num_classes == 7
 
     def test_full_unit_group_mod6(self):
         # Ramanujan-sum superclasses are the divisor classes
         part = superclasses(UnitAction(6, (5,)))
-        assert set(part.classes) == {(1, 5), (2, 4), (3,), (0,)}
+        assert set(classes_of(part)) == {(1, 5), (2, 4), (3,), (0,)}
 
     def test_partition_covers_everything(self):
         for n, gens in [(9, (8,)), (25, (7,)), (12, (5, 7))]:
             part = superclasses(UnitAction(n, gens))
-            members = sorted(x for c in part.classes for x in c)
+            members = sorted(x for c in classes_of(part) for x in c)
             assert members == list(range(n))
-            assert all(part.class_of[x] == i
-                       for i, c in enumerate(part.classes, 1) for x in c)
+            assert all(part.labels[x] == i
+                       for i, c in enumerate(classes_of(part), 1) for x in c)
 
     def test_rejects_non_unit_generator(self):
         with pytest.raises(InvalidInput):
@@ -67,7 +81,30 @@ class TestSuperclasses:
 
     def test_zero_class_is_singleton(self):
         part = superclasses(UnitAction(10, (3,)))
-        assert (0,) in part.classes
+        assert (0,) in classes_of(part)
+
+
+class TestSuperclassPartition:
+    def test_derived_from_labels(self):
+        part = SuperclassPartition(np.array([3, 1, 2, 1, 2, 2]))
+        assert (part.n, part.num_classes) == (6, 3)
+        assert classes_of(part) == [(1, 3), (2, 4, 5), (0,)]
+        assert [part.size(i) for i in (1, 2, 3)] == [2, 3, 1]
+        assert [part.representative(i) for i in (1, 2, 3)] == [1, 2, 0]
+        assert part.members(2).dtype == np.int64
+
+    def test_arrays_are_read_only(self):
+        part = superclasses(UnitAction(9, (8,)))
+        for array in (part.labels, part.members(1)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1, 3, 3], [[1, 2], [2, 1]],
+                                        [], [1.0, 2.0]],
+                             ids=["zero", "gap", "2-D", "empty", "float"])
+    def test_rejects_bad_labels(self, labels):
+        with pytest.raises(InvalidInput, match="labels"):
+            SuperclassPartition(np.array(labels))
 
 
 class TestSupercharacterValue:
@@ -81,7 +118,7 @@ class TestSupercharacterValue:
     def test_mod9_heilbronn_value(self):
         # sigma at (class of A, class of A): A = {1, 8} mod 9
         part = superclasses(UnitAction(9, (8,)))
-        i = part.class_of[1]
+        i = part.labels[1]
         v = supercharacter_value(part, i, i)
         expected = sum(math.cos(2 * math.pi * x / 9) for x in (1, 8))
         assert v.real == pytest.approx(expected)
@@ -125,8 +162,8 @@ class TestBuildU:
         for i in range(1, part.num_classes + 1):
             for j in range(1, part.num_classes + 1):
                 ref = supercharacter_value(part, i, j)
-                for y in part.classes[j - 1]:
-                    xs = np.array(part.classes[i - 1])
+                for y in part.members(j):
+                    xs = part.members(i)
                     v = np.exp(2j * np.pi * ((xs * y) % 10) / 10).sum()
                     assert abs(v - ref) < 1e-10
 
@@ -166,58 +203,40 @@ def test_build_U_makes_no_per_entry_calls(monkeypatch):
 
 def corrupted_partition():
     """Z/9 with 1 and 2 lumped into one 'class': not an orbit partition."""
-    classes = ((1, 2), (3, 6), (4, 5), (7, 8), (0,))
-    class_of = [0] * 9
-    for idx, orbit in enumerate(classes, start=1):
-        for y in orbit:
-            class_of[y] = idx
-    return SuperclassPartition(n=9, classes=classes, class_of=class_of)
+    return SuperclassPartition(np.array([5, 1, 1, 2, 3, 3, 2, 4, 4]))
 
 
 def moved_residue_partition():
     """heilbronn p=7 with one non-representative of X_1 moved into X_2;
-    classes and class_of agree, but X_1 and X_2 are no longer orbits."""
+    X_1 and X_2 are no longer orbits."""
     part = heilbronn_partition_for(7)
-    classes = [list(c) for c in part.classes]
-    x = classes[0].pop(1)
-    classes[1].append(x)
-    class_of = list(part.class_of)
-    class_of[x] = 2
-    return SuperclassPartition(n=part.n, classes=tuple(map(tuple, classes)),
-                               class_of=class_of)
+    labels = part.labels.copy()
+    labels[part.members(1)[1]] = 2
+    return SuperclassPartition(labels)
 
 
 def merged_orbits_partition():
     """heilbronn p=7 with X_1 and X_2 merged into one class: every product
     r_k * a keeps its label, but half the merged class is never hit."""
     part = heilbronn_partition_for(7)
-    classes = (part.classes[0] + part.classes[1],) + part.classes[2:]
-    class_of = [max(c - 1, 1) for c in part.class_of]
-    return SuperclassPartition(n=part.n, classes=classes, class_of=class_of)
+    return SuperclassPartition(np.maximum(part.labels - 1, 1))
 
 
 def split_orbit_partition():
     """heilbronn p=7 with X_1 split into two halves: every member is still
     hit |A|/|half| times, but r_1 * A runs into the other half."""
     part = heilbronn_partition_for(7)
-    x1 = part.classes[0]
-    classes = (x1[:3], x1[3:]) + part.classes[1:]
-    class_of = [c + 1 for c in part.class_of]
-    for y in x1[:3]:
-        class_of[y] = 1
-    return SuperclassPartition(n=part.n, classes=classes, class_of=class_of)
+    labels = part.labels + 1
+    labels[part.members(1)[:3]] = 1
+    return SuperclassPartition(labels)
 
 
 def non_group_pairs_partition():
     """Z/13 in pairs {r, 4r}: each r_k * {1, 4} covers X_k once, but
     {1, 4} is not a group (4 * 4 = 3), so the Gauss period is not constant
     on classes and the orbit-stabilizer table would be wrong by ~2."""
-    classes = ((1, 4), (2, 8), (3, 12), (5, 7), (6, 11), (9, 10), (0,))
-    class_of = [0] * 13
-    for idx, pair in enumerate(classes, start=1):
-        for y in pair:
-            class_of[y] = idx
-    return SuperclassPartition(n=13, classes=classes, class_of=class_of)
+    return partition_of(13, ((1, 4), (2, 8), (3, 12), (5, 7), (6, 11),
+                             (9, 10), (0,)))
 
 
 class TestBuildUValidation:
@@ -231,10 +250,11 @@ class TestBuildUValidation:
             build_U(make())
 
     def test_rejects_int64_overflow_before_allocating(self):
-        # r_i * r_j < n^2 must fit in int64; the check precedes every array
-        part = SuperclassPartition(n=2 ** 32, classes=((0,),), class_of=[])
+        # r_i * r_j < n^2 must fit in int64; the check precedes every array,
+        # and the zero-stride labels of n = 2^32 allocate nothing
+        labels = np.broadcast_to(np.uint8(1), (2 ** 32,))
         with pytest.raises(InvalidInput, match="int64"):
-            build_U(part)
+            build_U(SuperclassPartition(labels))
 
 
 class TestDebugChecks:
@@ -257,9 +277,9 @@ class TestDebugChecks:
 class TestStructureConstants:
     def test_mod9_examples(self):
         part = superclasses(UnitAction(9, (8,)))
-        a = part.class_of[1]       # class {1, 8}
-        k27 = part.class_of[2]     # class {2, 7}
-        k45 = part.class_of[4]     # class {4, 5}
+        a = part.labels[1]       # class {1, 8}
+        k27 = part.labels[2]     # class {2, 7}
+        k45 = part.labels[4]     # class {4, 5}
         assert structure_constants_enumerated(part, a, a, k27) == 1
         assert structure_constants_enumerated(part, a, a, k45) == 0
 
@@ -342,7 +362,7 @@ class TestRamanujanCrossCheck:
         gens = tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
         part = superclasses(UnitAction(n, gens))
         # the unit-class row evaluates c_n at any representative of each class
-        i = part.class_of[1]
+        i = part.labels[1]
         for j in range(1, part.num_classes + 1):
             x = part.representative(j)
             v = supercharacter_value(part, i, j)

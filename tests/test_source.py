@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib
 import re
 import tomllib
 from pathlib import Path
@@ -94,3 +95,39 @@ def test_mpmath_is_a_test_dependency_only():
     assert names(project["dependencies"]) == ["numpy"]
     extras = project["optional-dependencies"]
     assert [k for k, v in extras.items() if "mpmath" in names(v)] == ["test"]
+
+
+def perfbench_tree(name):
+    path = ROOT / "perfbench" / name
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_perfbench_traced_names_resolve():
+    # perfbench/run.py --trace wraps heilbronn.<module>.<function> for every
+    # entry of spans.TRACED; read from the source, perfbench is not imported
+    traced = next(ast.literal_eval(node.value)
+                  for node in perfbench_tree("spans.py").body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    missing = []
+    for name in traced:
+        module, func = name.split(".")
+        module = importlib.import_module(f"heilbronn.{module}")
+        if not callable(getattr(module, func, None)):
+            missing.append(name)
+    assert traced and missing == []
+
+
+def test_perfbench_workloads_use_exported_names():
+    # every hb.<name> of the workloads is public, and every name they
+    # import from a heilbronn module exists there
+    tree = perfbench_tree("workloads.py")
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "hb"}
+    assert used and used <= set(heilbronn.__all__)
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("heilbronn")
+                for alias in node.names]
+    assert all(hasattr(importlib.import_module(m), a) for m, a in imported)

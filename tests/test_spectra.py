@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from heilbronn.modarith import (InvalidInput, build_context, odd_primes_upto,
                                 pow_mod, primitive_roots_mod_p2)
 from heilbronn.sctheory import (SuperclassPartition, UnitAction, build_U,
                                 superclasses)
+import heilbronn.spectra as spectra_mod
 from heilbronn.spectra import (_autocorrelation, bordered_unitary,
                                heilbronn_partition, heilbronn_sum,
                                heilbronn_table, spectrum, subgroup_pth_powers,
@@ -217,9 +219,9 @@ class TestSubgroup:
             ctx = build_context(p)
             part = heilbronn_partition(ctx)
             assert part.num_classes == p + 2
-            assert part.classes[p] == tuple(p * m for m in range(1, p))
-            assert part.classes[p + 1] == (0,)
-            assert part.classes[p - 1] == tuple(subgroup_pth_powers(ctx))
+            assert part.members(p + 1).tolist() == [p * m for m in range(1, p)]
+            assert part.members(p + 2).tolist() == [0]
+            assert part.members(p).tolist() == subgroup_pth_powers(ctx)
 
 
 class TestHeilbronnPartition:
@@ -230,18 +232,48 @@ class TestHeilbronnPartition:
             part = heilbronn_partition(ctx)
             p2 = p * p
             closure = superclasses(UnitAction(n=p2, generators=(pow(g, p, p2),)))
-            assert set(part.classes) == set(closure.classes)
-            assert len(part.classes) == p + 2
-            for i, cls in enumerate(part.classes, start=1):
-                assert all(part.class_of[x] == i for x in cls)
-            assert all(pow(g, i, p2) in part.classes[i - 1]
-                       for i in range(1, p + 1))
-            assert all(part.class_of[u] == ctx.class_index(u)
+            classes = [tuple(part.members(i).tolist()) for i in range(1, p + 3)]
+            assert set(classes) == {tuple(closure.members(i).tolist())
+                                    for i in range(1, closure.num_classes + 1)}
+            assert part.num_classes == p + 2
+            for i, cls in enumerate(classes, start=1):
+                assert all(part.labels[x] == i for x in cls)
+            assert all(part.labels[u] == ctx.class_index(u)
                        for u in range(1, p2) if u % p)
+
+    @pytest.mark.parametrize("p", odd_primes_upto(101))
+    def test_members_are_the_sorted_cosets(self, p):
+        p2 = p * p
+        A = [pow(m, p, p2) for m in range(1, p)]
+        for g in primitive_roots_mod_p2(p, 2):
+            part = heilbronn_partition(build_context(p, g=g))
+            expected = [tuple(sorted(pow(g, i, p2) * a % p2 for a in A))
+                        for i in range(1, p + 1)]
+            expected += [tuple(range(p, p2, p)), (0,)]
+            assert [tuple(part.members(i).tolist())
+                    for i in range(1, p + 3)] == expected
+
+    def test_labels_are_read_only_uint16(self):
+        part = heilbronn_partition(build_context(13))
+        assert part.labels.dtype == np.uint16
+        assert not part.labels.flags.writeable
+
+    def test_holds_at_most_16_bytes_per_residue(self):
+        # the uint16 labels and the int64 argsort: 10 bytes per residue
+        ctx = build_context(1009)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            part = heilbronn_partition(ctx)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert part.n == 1009 ** 2
+        assert held <= 16 * part.n
 
     def test_layout(self):
         ctx = build_context(5)
-        cls = heilbronn_partition(ctx).class_of
+        cls = heilbronn_partition(ctx).labels
         assert cls[0] == 7  # X_{p+2} = {0}
         assert all(cls[5 * m] == 6 for m in range(1, 5))
         assert cls[ctx.g % 25] == 1
@@ -308,18 +340,25 @@ class TestHeilbronnTable:
         assert np.all(table.sigma[p, :p] == -1)
         assert table.sigma[p, p] == p - 1
 
-    def test_mislabelled_partition_raises(self):
+    def test_mislabelled_partition_raises(self, monkeypatch):
         # X_1 and X_2 swapped: the same orbits under the wrong labels
         ctx = build_context(7)
         s = spectrum(ctx)
-        part = heilbronn_partition(ctx)
-        classes = list(part.classes)
-        classes[0], classes[1] = classes[1], classes[0]
-        swapped = SuperclassPartition(
-            n=49, classes=tuple(classes),
-            class_of=[{1: 2, 2: 1}.get(c, c) for c in part.class_of])
+        labels = heilbronn_partition(ctx).labels
+        swapped = np.array([0, 2, 1, *range(3, 10)])[labels]
+        monkeypatch.setattr(spectra_mod, "heilbronn_partition",
+                            lambda ctx: SuperclassPartition(swapped))
         with pytest.raises(InvalidInput, match="class labeling"):
-            heilbronn_table(ctx, s, generic=build_U(swapped))
+            heilbronn_table(ctx, s)
+
+    @pytest.mark.parametrize("p", [101, 1009, 2003])
+    def test_cross_check_fails_on_a_spectrum_off_by_1e6(self, p):
+        # the tolerance is absolute; the largest |sigma| is p - 1
+        ctx = build_context(p)
+        s = spectrum(ctx)
+        bad = dataclasses.replace(s, values=s.values + 1e-6)
+        with pytest.raises(InvalidInput, match="class labeling"):
+            heilbronn_table(ctx, bad)
 
     def test_matches_generic_engine(self):
         # the pattern assembly cross-validates inside heilbronn_table;
