@@ -17,7 +17,8 @@ from importlib import resources
 
 import numpy as np
 
-from .modarith import InvalidInput, PrimeContext, build_context, odd_primes_upto
+from .modarith import (MAX_PRIME, InvalidInput, PrimeContext, build_context,
+                       odd_primes_upto)
 from .spectra import Spectrum, heilbronn_partition, spectrum
 
 # Residuals of this or more send F to its exact integer count; 0.5 is the
@@ -442,7 +443,10 @@ class TableRow:
 
 def fermat_table(p_max: int, strict: bool = True) -> list[TableRow]:
     """F(p;1,1,1) for all odd primes <= p_max via the spectral path, compared
-    against the embedded reference table where it has entries."""
+    against the embedded reference table where it has entries.  Raises
+    InvalidInput for p_max > MAX_PRIME before sieving."""
+    if p_max > MAX_PRIME:
+        raise InvalidInput(f"p_max = {p_max} exceeds supported cap {MAX_PRIME}")
     golden = dict(golden_table())
     rows = []
     for p in odd_primes_upto(p_max):

@@ -199,20 +199,43 @@ def pth_power_table(p: int) -> np.ndarray:
 def truncated_log(p: int, u: int | np.ndarray) -> int | np.ndarray:
     """L_p(u) = u + u^2/2 + ... + u^(p-1)/(p-1) mod p, for p not dividing u.
 
-    u is an int or an int64 array of units, evaluated elementwise.  Horner
-    evaluation with inv(k) = -(p // k) * inv(p mod k) mod p: the
-    independent reference for the lemma that log_level_sets reads."""
+    u is an int or an int64 array of units, evaluated elementwise: the
+    independent reference for the lemma that log_level_sets reads, so it
+    never reads T.  Blocked Horner (Paterson and Stockmeyer, 1973): with
+    M = ceil(sqrt(p)) and c_k = inv(k) = -(p // k) * inv(p mod k) mod p,
+    the sum is sum over b of (u^M)^b * P_b(u), P_b(u) = sum over i < M of
+    c_{bM+i} u^i.  All P_b come from one int64 matmul of the coefficient
+    blocks with the table u^0..u^(M-1); its entries stay below
+    M * p^2 < 2^51 for p <= MAX_PRIME.  Then ceil(p/M) Horner steps in u^M.
+    Units are taken in slices, so the table never exceeds 2^20 entries."""
     check_odd_prime(p)
-    if np.any(np.asarray(u) % p == 0):
+    r = np.asarray(u) % p
+    if np.any(r == 0):
         raise InvalidInput(f"p = {p} divides u = {u}")
-    u = u % p
     inv = [0, 1] + [0] * (p - 2)
     for k in range(2, p):
         inv[k] = -(p // k) * inv[p % k] % p
-    acc = 0
-    for k in range(p - 1, 0, -1):
-        acc = (acc * u + inv[k]) % p
-    return acc * u % p
+    M = math.isqrt(p - 1) + 1
+    B = -(-p // M)
+    coeffs = np.zeros(B * M, dtype=np.int64)
+    coeffs[:p] = inv
+    coeffs = coeffs.reshape(B, M)
+    units = r.astype(np.int64).ravel()
+    out = np.empty_like(units)
+    width = (1 << 20) // M
+    for lo in range(0, len(units), width):
+        x = units[lo:lo + width]
+        powers = np.empty((M, len(x)), dtype=np.int64)
+        powers[0] = 1
+        for i in range(1, M):
+            powers[i] = powers[i - 1] * x % p
+        step = powers[-1] * x % p
+        blocks = coeffs @ powers % p
+        acc = blocks[-1]
+        for b in range(B - 2, -1, -1):
+            acc = (acc * step + blocks[b]) % p
+        out[lo:lo + width] = acc
+    return int(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 @dataclass(frozen=True)

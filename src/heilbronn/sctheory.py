@@ -136,7 +136,13 @@ class SupercharacterMatrices:
 
     partition: SuperclassPartition
     sigma: np.ndarray  # complex, sigma[i-1, j-1] = sigma_i(X_j)
-    U: np.ndarray
+
+    @property
+    def U(self) -> np.ndarray:
+        """U[i,j] = sigma_i(X_j) * sqrt(|X_j|) / (sqrt(n) * sqrt(|X_i|)),
+        formed from sigma on each read."""
+        root = np.sqrt(np.diff(self.partition._starts))
+        return self.sigma * root[None, :] / (math.sqrt(self.partition.n) * root[:, None])
 
     def D(self, i: int) -> np.ndarray:
         return np.diag(self.sigma[i - 1])
@@ -166,7 +172,7 @@ def _is_unit_subgroup(A: np.ndarray, in_A: np.ndarray, n: int) -> bool:
 
 
 def build_U(partition: SuperclassPartition) -> SupercharacterMatrices:
-    """U[i,j] = sigma_i(X_j) * sqrt(|X_j|) / (sqrt(n) * sqrt(|X_i|)).
+    """sigma_i(X_j) by orbit-stabilizer, with U derived from it on request.
 
     A is the class containing 1 and r_k the first element of X_k.  If A is
     a group of units and the classes are A-orbits, the products r_k * a,
@@ -174,13 +180,19 @@ def build_U(partition: SuperclassPartition) -> SupercharacterMatrices:
 
         sigma_i(X_j) = |X_i|/|A| * eta(r_i * r_j),
 
-    with eta(t) = sum over a in A of e(t*a/n) constant on each class.  The N
-    Gauss periods eta(r_k) are gathered from a length-n phase table of the
-    exact residues r_k * a mod n, and sigma is one N x N gather of them by
-    the label of r_i * r_j mod n: O(N*|A| + N^2) time after the O(n) table.
-    Raises InvalidInput if A is not a subgroup or the products do not cover
-    each class in that way, so a partition that is not made of A-orbits
-    fails instead of giving a wrong sigma.
+    with eta(t) = sum over a in A of e(t*a/n) constant on each class.  The
+    same count gives eta(r_k) = |A|/|X_k| * S_k, S_k the sum of e(x/n) over
+    x in X_k, so sigma_i(X_j) = |X_i|/|X_l| * S_l with l the label of
+    r_i * r_j mod n.  The N class sums S_k are one weighted pass over the
+    labels, two np.bincounts for the real and imaginary parts.  The phases
+    e(x/n) = hi[x // m] * lo[x % m], m = ceil(sqrt(n)), are one m x m outer
+    product of 2m exp values.  sigma is then one N x N gather: O(n + N^2)
+    time in all.
+
+    Raises InvalidInput unless A is a subgroup of the units, every product
+    r_k * a carries label k, and |X_k| * #{a : r_k * a == r_k} == |A|.  By
+    orbit-stabilizer these say X_k = r_k * A, so a partition that is not
+    made of A-orbits fails instead of giving a wrong sigma.
     """
     N = partition.num_classes
     n = partition.n
@@ -193,16 +205,20 @@ def build_U(partition: SuperclassPartition) -> SupercharacterMatrices:
                            "not a subgroup of the units")
     products = reps[:, None] * A[None, :] % n
     if not (np.all(labels[products] == np.arange(1, N + 1)[:, None])
-            and np.all(np.bincount(products.ravel(), minlength=n)
-                       * sizes[labels - 1] == len(A))):
+            and np.all(sizes * np.count_nonzero(products == reps[:, None], axis=1)
+                       == len(A))):
         raise InvalidInput("the classes are not orbits of the class of 1: "
                            "some r_k * A does not cover X_k evenly")
-    phase = np.exp(2j * np.pi * np.arange(n) / n)
-    eta = phase[products].sum(axis=1)
-    sigma = (sizes / len(A))[:, None] * eta[labels[reps[:, None] * reps[None, :] % n] - 1]
-    root = np.sqrt(sizes)
-    U = sigma * root[None, :] / (np.sqrt(n) * root[:, None])
-    return SupercharacterMatrices(partition=partition, sigma=sigma, U=U)
+    del products
+    m = math.isqrt(n - 1) + 1
+    steps = np.arange(m)
+    phase = np.outer(np.exp(2j * np.pi * (steps * m % n) / n),
+                     np.exp(2j * np.pi * steps / n)).ravel()[:n]
+    sums = (np.bincount(labels, phase.real, N + 1)[1:]
+            + 1j * np.bincount(labels, phase.imag, N + 1)[1:])
+    del phase
+    sigma = sizes[:, None] * (sums / sizes)[labels[reps[:, None] * reps[None, :] % n] - 1]
+    return SupercharacterMatrices(partition=partition, sigma=sigma)
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,25 @@ class TestTableCommand:
         assert "mismatch" in err
 
 
+@pytest.mark.parametrize("command", ["table", "bench"])
+def test_pmax_cap_refused_before_sieving(capsys, monkeypatch, command):
+    # --pmax sizes an (N+1)-byte sieve, and table computes F at every prime
+    # below it, so N > MAX_PRIME is refused before odd_primes_upto runs
+    import heilbronn.cli as cli_mod
+    import heilbronn.fermat as fermat_mod
+    from heilbronn.modarith import MAX_PRIME
+
+    def refuse(n):
+        raise AssertionError(f"sieved up to {n}")
+
+    monkeypatch.setattr(cli_mod, "odd_primes_upto", refuse)
+    monkeypatch.setattr(fermat_mod, "odd_primes_upto", refuse)
+    code, out, err = run(capsys, command, "--pmax", str(MAX_PRIME + 7))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "exceeds supported cap" in err
+
+
 class TestVerifyCommand:
     def test_full_p13(self, capsys):
         code, out, _ = run(capsys, "verify", "-p", "13", "--full")

@@ -17,6 +17,19 @@ def slow_pow(base, exp, mod):
     return r
 
 
+def horner_truncated_log(p, u):
+    """Sum of u^k / k over k = 1..p-1 mod p by p-1 Horner steps, with
+    inv(k) = -(p // k) * inv(p mod k): the oracle for truncated_log."""
+    u = u % p
+    inv = [0, 1] + [0] * (p - 2)
+    for k in range(2, p):
+        inv[k] = -(p // k) * inv[p % k] % p
+    acc = 0
+    for k in range(p - 1, 0, -1):
+        acc = (acc * u + inv[k]) % p
+    return acc * u % p
+
+
 class TestPowMod:
     def test_identity_exponent(self):
         assert pow_mod(17, 1, 9) == 17 % 9
@@ -244,6 +257,32 @@ class TestTruncatedLog:
             lhs = truncated_log(p, u)
             rhs = (-pow_mod(u, p, p) * truncated_log(p, u_inv)) % p
             assert lhs == rhs
+
+
+class TestBlockedTruncatedLog:
+    """The blocked evaluation against the p-step Horner oracle."""
+
+    @pytest.mark.parametrize("p", odd_primes_upto(499) + [1009, 2003])
+    def test_array_matches_oracle(self, p):
+        u = np.arange(1, p, dtype=np.int64)
+        L = truncated_log(p, u)
+        assert L.dtype == np.int64
+        assert np.array_equal(L, horner_truncated_log(p, u))
+
+    def test_slices_match_oracle(self):
+        # M = 257 at p = 65,537, so 4,096 units need two slices of the
+        # 2^20-entry power table; a 2-D input keeps its shape
+        p = 65537
+        u = np.arange(1, p, 16, dtype=np.int64).reshape(64, 64)
+        assert np.array_equal(truncated_log(p, u), horner_truncated_log(p, u))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 1009])
+    def test_int_matches_oracle(self, p):
+        # p = 3 and 5 have M = 2 and 3, the smallest coefficient blocks
+        for u in (1, 2, p - 1, p + 2, -1, 3 * p * p + 2):
+            L = truncated_log(p, u)
+            assert type(L) is int
+            assert L == horner_truncated_log(p, u)
 
 
 class TestTruncatedLogClosedForm:

@@ -239,9 +239,19 @@ def non_group_pairs_partition():
                              (9, 10), (0,)))
 
 
+def merged_stabilizer_partition():
+    """Z/1024 under <3> with the orbit {512} merged into {256, 768}: every
+    product r_k * a keeps its label, but r = 256 has a stabilizer of 128 in
+    the 256 elements of A, and 3 * 128 != 256."""
+    classes = classes_of(superclasses(UnitAction(1024, (3,))))
+    merged = [c for c in classes if c not in ((512,), (256, 768))]
+    return partition_of(1024, merged + [(256, 512, 768)])
+
+
 class TestBuildUValidation:
     @pytest.mark.parametrize("make", [moved_residue_partition,
                                       merged_orbits_partition,
+                                      merged_stabilizer_partition,
                                       split_orbit_partition,
                                       non_group_pairs_partition,
                                       corrupted_partition])

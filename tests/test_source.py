@@ -59,6 +59,15 @@ def test_readme_format_flags_match_cli():
     assert named == with_flags
 
 
+def test_readme_verify_cap_matches_cli():
+    # the README sentence that names cli.VERIFY_MAX_PRIME states its value
+    readme = (ROOT / "README.md").read_text()
+    sentence = next(s for s in re.split(r"(?<=\.)\s+", readme)
+                    if "`cli.VERIFY_MAX_PRIME`" in s)
+    caps = [int(c.replace(",", "")) for c in re.findall(r"p ≤ ([\d,]+)", sentence)]
+    assert caps == [cli.VERIFY_MAX_PRIME]
+
+
 def test_pow_loop_table_is_called_nowhere():
     # pth_power_table is the tests' reference; the library reads
     # PrimeContext.pth_powers, filled by build_context's walk
